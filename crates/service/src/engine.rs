@@ -32,8 +32,8 @@ pub(crate) struct EngineInner {
     /// Engine-wide synthesis options (a session cannot diverge from them:
     /// the shared cache is only sound across equal generation options).
     options: SynthesisOptions,
-    /// The global worker pool: batch requests fan out across it, and its
-    /// width also sizes each learn's parallel `Intersect_u` plane.
+    /// The global worker pool: batch requests and `run_column` row ranges
+    /// fan out across it. Each learn itself runs serially.
     pool: Pool,
 }
 
@@ -303,13 +303,6 @@ impl Engine {
     /// and bit-identical to sequential per-request [`Synthesizer::learn`]
     /// calls at every pool width; a failed request yields an `Err`
     /// response without disturbing its neighbors.
-    ///
-    /// When the batch actually fans out, each worker's inner `Intersect_u`
-    /// plane runs serial (`threads = 1`): batch-level parallelism already
-    /// saturates the pool width, and nesting the per-learn plane inside it
-    /// would spawn up to `threads²` OS threads. Per-learn results are
-    /// bit-identical at every inner width, so this is invisible; a
-    /// single-request or serial-pool batch keeps the full inner width.
     pub fn learn_batch(&self, requests: &[LearnRequest]) -> Vec<LearnResponse> {
         self.learn_batch_inner(requests, None)
     }
@@ -332,8 +325,7 @@ impl Engine {
         requests: &[LearnRequest],
         budget: Option<Duration>,
     ) -> Vec<LearnResponse> {
-        let fans_out = self.inner.pool.is_parallel() && requests.len() > 1;
-        let synthesizer = self.batch_synthesizer(fans_out, budget);
+        let synthesizer = self.batch_synthesizer(budget);
         let default_k = self.inner.options.top_k;
         self.inner.pool.par_map_indexed(requests, |i, request| {
             let mut result = synthesizer
@@ -355,21 +347,13 @@ impl Engine {
     }
 
     /// The synthesizer view a batch entry point learns through: the shared
-    /// warm memo plane, a serial inner `Intersect_u` plane when the batch
-    /// itself fans out (see [`Engine::learn_batch`]), and — under a budget
-    /// — one deadline token shared by every request in the batch.
-    fn batch_synthesizer(&self, fans_out: bool, budget: Option<Duration>) -> Synthesizer {
-        if !fans_out && budget.is_none() {
-            return self.synthesizer();
+    /// warm memo plane and — under a budget — one deadline token shared by
+    /// every request in the batch.
+    fn batch_synthesizer(&self, budget: Option<Duration>) -> Synthesizer {
+        match budget {
+            Some(budget) => self.synthesizer_with_budget(budget),
+            None => self.synthesizer(),
         }
-        let mut builder = self.inner.options.to_builder();
-        if fans_out {
-            builder = builder.threads(1);
-        }
-        if let Some(budget) = budget {
-            builder = builder.cancel_token(CancelToken::with_deadline(budget));
-        }
-        Synthesizer::with_shared_cache(self.db(), builder.build(), Arc::clone(&self.inner.cache))
     }
 
     /// Learns from `examples`, compiles the top-ranked program and applies
@@ -409,10 +393,9 @@ impl Engine {
     /// Serves a batch of independent [`ApplyRequest`]s, fanned across the
     /// engine pool with the same discipline as [`Engine::learn_batch`]:
     /// request-ordered responses, one shared database snapshot and warm
-    /// memo plane, and — when the batch actually fans out — serial inner
-    /// planes (both the per-learn `Intersect_u` plane and each request's
-    /// `run_column`), since batch-level parallelism already saturates the
-    /// pool. Results are bit-identical at every width.
+    /// memo plane, and — when the batch actually fans out — a serial
+    /// `run_column` per request, since batch-level parallelism already
+    /// saturates the pool. Results are bit-identical at every width.
     pub fn apply_batch(&self, requests: &[ApplyRequest]) -> Vec<ApplyResponse> {
         self.apply_batch_inner(requests, None)
     }
@@ -434,7 +417,7 @@ impl Engine {
         budget: Option<Duration>,
     ) -> Vec<ApplyResponse> {
         let fans_out = self.inner.pool.is_parallel() && requests.len() > 1;
-        let synthesizer = self.batch_synthesizer(fans_out, budget);
+        let synthesizer = self.batch_synthesizer(budget);
         let serial = Pool::new(1);
         let row_pool: &Pool = if fans_out { &serial } else { &self.inner.pool };
         self.inner.pool.par_map_indexed(requests, |i, request| {

@@ -397,14 +397,12 @@ fn engine_options_flow_into_sessions() {
         .threads(1)
         .dag_cache(true)
         .top_k(2)
-        .parallel_edge_product_min(64)
         .build();
     let engine = Engine::with_options(
         Arc::new(Database::from_tables(vec![comp_table()]).unwrap()),
         options,
     );
     assert_eq!(engine.options().top_k, 2);
-    assert_eq!(engine.options().parallel_edge_product_min, 64);
     let mut session = engine.session();
     session.add_example(Example::new(vec!["c2"], "Google"));
     assert!(session.top_k().unwrap().len() <= 2);

@@ -27,9 +27,8 @@
 //!   program-set structures as dense `u32` ids, plus the versioned
 //!   binary snapshot codec.
 //! * [`counting`] — arbitrary-precision counters for program-set sizes.
-//! * [`par`] — vendored scoped work-stealing pool powering the parallel
-//!   `Intersect_u` plane and batch serving (deterministic-order
-//!   `par_map_indexed`).
+//! * [`par`] — vendored scoped work-stealing pool powering batch serving
+//!   and `run_column` (deterministic-order `par_map_indexed`).
 //!
 //! # Quickstart: an interactive session
 //!
@@ -251,8 +250,8 @@
 //! memo line. This is sound precisely because equal ids mean equal
 //! structure: an intersection result is a pure function of its operand
 //! values. Everything observable stays bit-identical (pinned by the
-//! `dag_memo_equivalence`, `parallel_equivalence` and
-//! `service_equivalence` harnesses).
+//! `dag_memo_equivalence`, `service_equivalence` and
+//! `snapshot_roundtrip` harnesses).
 //!
 //! The id-plane is also what makes the engine *persistable*: ids are
 //! process-independent names, so

@@ -34,6 +34,27 @@ fn every_task_converges_within_three_examples() {
 }
 
 #[test]
+fn suite_total_final_size_is_pinned() {
+    // The summed size of every converged program set is the suite-wide
+    // fingerprint of `Intersect_u`'s output: a change to how intersection
+    // is scheduled, memoized or represented must leave it bit-identical.
+    let mut converged = 0usize;
+    let mut total_size_final = 0usize;
+    for task in all_tasks() {
+        let synthesizer = Synthesizer::new(std::sync::Arc::new(task.db.clone()));
+        let report = converge(&synthesizer, &task.rows, 3)
+            .unwrap_or_else(|e| panic!("task {} ({}): {e}", task.id, task.name));
+        converged += usize::from(report.converged);
+        total_size_final += report
+            .learned
+            .expect("converge returns a learned set")
+            .size();
+    }
+    assert_eq!(converged, 50, "tasks converged within 3 examples");
+    assert_eq!(total_size_final, 589_196, "total_size_final over the suite");
+}
+
+#[test]
 fn lookup_tasks_learn_with_lookup_learner() {
     use semantic_strings::lookup::LookupLearner;
     for task in all_tasks()
