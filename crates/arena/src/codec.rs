@@ -37,8 +37,9 @@ pub const SNAPSHOT_MAGIC: [u8; 8] = *b"SSTSNAP\0";
 
 /// Current snapshot format version. Bump on any layout change; old
 /// readers answer [`SnapshotError::UnsupportedVersion`] instead of
-/// misparsing.
-pub const SNAPSHOT_VERSION: u32 = 1;
+/// misparsing. Version 2: the memo section is one list of example chains,
+/// each with its structure id and recorded reads.
+pub const SNAPSHOT_VERSION: u32 = 2;
 
 /// Why a snapshot could not be decoded.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -1,5 +1,5 @@
-//! The flat, hash-consed program arena — the id-plane under the memoized
-//! synthesis stack.
+//! The flat, hash-consed program arena — the snapshot format of the
+//! memoized synthesis stack.
 //!
 //! Program sets in the `Lu` language reach counts like 1.5·10³⁵³; the tree
 //! representation ([`Dag`]s over [`AtomSet`]s, nested predicate DAGs)
@@ -21,9 +21,10 @@
 //! Layering: this crate sits below `sst-core` (which owns the `Du` tree
 //! types); `sst-core` converts trees to and from the arena reprs defined
 //! here ([`AtomRepr`], [`DagRepr`], [`ProgRepr`], [`NodeRepr`],
-//! [`StructRepr`]). Within one arena, equal ids ⇔ equal structures; the
-//! `DagCache`'s example-pair intersection memo keys on [`StructId`] pairs
-//! for exactly that reason.
+//! [`StructRepr`]). Within one arena, equal ids ⇔ equal structures. The
+//! live `DagCache` holds tree forms and keys its memo on example chains;
+//! it builds a fresh arena only when a snapshot is written (or its arena
+//! stats are read), and a restore extracts the trees and drops the arena.
 
 use std::hash::Hash;
 
@@ -83,8 +84,7 @@ id_type!(
 );
 id_type!(
     /// Id of one interned [`StructRepr`] — the arena name of a whole `Du`
-    /// structure *value*. Equal ids ⇔ structurally equal structures; the
-    /// example-pair intersection memo keys on pairs of these.
+    /// structure *value*. Equal ids ⇔ structurally equal structures.
     StructId
 );
 

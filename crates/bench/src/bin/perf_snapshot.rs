@@ -7,8 +7,8 @@
 //! bytecode plane — interpreted vs compiled single-row nanoseconds and
 //! `run_column` rows/sec at each pool width over a synthesized
 //! `--apply-rows`-row column, with an `outputs_match` bit CI asserts.
-//! An `arena` section reports the hash-consed id-plane underneath the
-//! memo cache: per-task intern traffic, distinct stored values, the
+//! An `arena` section reports the hash-consed arena a snapshot of each
+//! task's memo cache would write: intern traffic, distinct stored values, the
 //! dedup ratio, and per-session resident bytes.
 //! Two sections probe the incremental database plane over a
 //! `--scale-rows`-row lookup table: `mutate` (index rebuild ms vs

@@ -1,6 +1,6 @@
 //! The memoized DAG plane: a per-synthesizer cache that removes the
-//! dominant repeated work in `GenerateStr_u` (§5.3) and, since the
-//! parallel-intersection PR, in `Intersect_u`'s §3.2 replays too.
+//! dominant repeated work in `GenerateStr_u` (§5.3) and in `Intersect_u`'s
+//! §3.2 replays.
 //!
 //! Profiling after the substring-index PR showed DAG *construction* — the
 //! top-level output DAG plus a fresh nested predicate DAG per candidate-key
@@ -9,10 +9,10 @@
 //! example is re-generated once per step, and within one generation the
 //! same key value is re-derived for every row that carries it. After the
 //! DAG plane landed, the warm path became almost pure `Intersect_u` — and
-//! the same §3.2 loop re-intersects the same example *pairs* step after
+//! the same §3.2 loop re-intersects the same example prefixes step after
 //! step.
 //!
-//! [`DagCache`] memoizes at three granularities, each keyed so a hit is
+//! [`DagCache`] memoizes at two granularities, each keyed so a hit is
 //! *provably* bit-identical to a recomputation:
 //!
 //! * **Per-value DAGs** — `generate_dag_prepared` results keyed by
@@ -22,21 +22,15 @@
 //!   equal DAGs, and the cached [`Arc`] handle is shared structurally —
 //!   repeated key values reference one allocation, which the intersection
 //!   layer's pointer-keyed memos then exploit.
-//! * **Per-example structures** — whole `GenerateStr_u` results keyed by
-//!   the example's interned input/output symbols. `Synthesize` on a grown
-//!   example prefix replays generation for every earlier example; the memo
-//!   serves a cheap clone (`Arc`-shared DAGs, shallow condition handles)
-//!   instead.
-//! * **Example-pair intersections** — whole `Intersect_u` results keyed by
-//!   the [`StructId`]s of the two operands. Every structure the cache
-//!   hands out (example memo hit or stored intersection result) carries
-//!   its hash-consed arena id — a *content address*: equal ids ⇔
-//!   structurally equal values, in this process or any process that
-//!   restored the same arena. A `(id, id)` key therefore identifies the
-//!   operand *values*, never addresses — a re-learn on a grown prefix
-//!   replays `d₁ ∩ d₂ ∩ … ∩ dₖ` as k−1 memo hits and only intersects the
-//!   genuinely new final example. Arena ids are never reused or rebound,
-//!   so a stale id can at worst miss.
+//! * **Example prefixes** — one map keyed by the *example chain*, the
+//!   ordered list of examples given so far (each example named by its
+//!   interned inputs and output). A chain of length 1 holds that example's
+//!   whole `GenerateStr_u` result; a chain of length k holds
+//!   `d₁ ∩ … ∩ d_k`, exactly the structure `Synthesize` computes at step k
+//!   of the §3.2 loop. A re-learn on a grown prefix therefore replays every
+//!   earlier generation and every earlier intersection as a memo hit and
+//!   only intersects the genuinely new final example. Hits serve a cheap
+//!   clone (`Arc`-shared DAGs, shallow condition handles).
 //!
 //! # Concurrency
 //!
@@ -50,37 +44,33 @@
 //!
 //! # Validation
 //!
-//! Only the example memo is scoped to one database state. Per-value DAGs
-//! are pure functions of the ordered source-symbol list behind their
-//! `SourcesEpoch` key, and intersection entries are pure structural
-//! functions of the id-named operand *values* — neither reads the
-//! database, so both survive every mutation. The cache records the
-//! [`Database::epoch`] it was filled under; [`DagCache::validate`] clears
-//! the example memo when the epoch moved, and the delta-aware
-//! [`DagCache::validate_db`] does better: it asks the database for the
-//! [`DbDelta`](sst_tables::DbDelta) spanning the move and *retains* every
-//! example entry whose recorded reads (the tables its `Select`s touch, the
-//! node values that drove its reachability) provably don't intersect the
-//! delta — so a row-level write into one background table leaves entries
-//! keyed to other tables warm. Structural mutations (a table added changes
-//! the default depth bound) and entries generated without the substring
-//! gate (whose activations aren't summarized by node values) fall back to
-//! eviction. Epoch interning never restarts and arena ids are content
-//! addresses, so stale keys can never collide with post-mutation entries.
+//! Per-value DAGs are pure functions of the ordered source-symbol list
+//! behind their `SourcesEpoch` key, so they survive every mutation. The
+//! prefix memo is scoped to one database state: each entry records what
+//! its generations *read* (the tables their `Select`s touch, the node
+//! values that drove reachability; for a chain, the union over its
+//! examples). The cache records the [`Database::epoch`] it was filled
+//! under, and [`DagCache::validate_db`] asks the database for the
+//! [`DbDelta`](sst_tables::DbDelta) spanning a move and *retains* every
+//! entry whose reads provably don't intersect the delta — so a row-level
+//! write into one background table leaves chains keyed to other tables
+//! warm. Structural mutations (a table added changes the default depth
+//! bound) and entries generated without the substring gate (whose
+//! activations aren't summarized by node values) fall back to eviction.
+//! Epoch interning never restarts, so stale sources epochs can never
+//! collide with post-mutation entries.
 //!
-//! # The arena underneath
+//! # Snapshots
 //!
-//! Every structure the cache retains is also interned into a per-cache
-//! [`Arena`] (hash-consed, append-only): that is where [`StructId`]s come
-//! from, what the snapshot codec serializes ([`DagCache::encode_snapshot`]
-//! / [`DagCache::decode_snapshot`]), and why memo flushes are safe — the
-//! arena is never cleared, so an id held by in-flight work still names its
-//! value after a flush.
+//! The live memo holds `Arc` trees only. The hash-consed [`Arena`] of
+//! [`sst_arena`] is the snapshot *format*: [`DagCache::encode_snapshot`]
+//! builds a fresh arena from the live entries and writes it, and
+//! [`DagCache::decode_snapshot`] validates and extracts the entries back
+//! out, then drops the arena. [`DagCache::arena_stats`] reports the arena a
+//! snapshot would write now.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};
-
-use std::sync::Arc;
+use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use sst_arena::{
     Arena, ArenaStats, DagId, Reader, SnapshotError, StructId, SymDecoder, SymEncoder, Writer,
@@ -96,23 +86,32 @@ use crate::dstruct::SemDStruct;
 /// symbol lists (within one database state). Allocated densely by
 /// [`DagCache::epoch_of`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct SourcesEpoch(u32);
+pub(crate) struct SourcesEpoch(u32);
 
-/// Key of one memoized `GenerateStr_u` call: the example's interned
-/// inputs and output.
+/// One link of a prefix-memo key: an example's interned inputs and output.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-struct ExampleKey {
+pub(crate) struct ExampleKey {
     inputs: Box<[Symbol]>,
     output: Symbol,
 }
 
-/// What one cached example structure *read* from the database, recorded at
-/// store time so [`DagCache::validate_db`] can prove a mutation span left
-/// the entry intact: the tables its `Select` programs touch, and every
-/// node value — the frontier strings whose substring relations drove
-/// reachability. A mutation that neither writes a read table nor touches a
-/// value substring-related to a node value cannot change the generation
-/// result (see `DbDelta::affects`).
+impl ExampleKey {
+    /// Interns one example's strings.
+    pub(crate) fn new(inputs: &[&str], output: &str) -> Self {
+        ExampleKey {
+            inputs: inputs.iter().map(|s| Symbol::intern(s)).collect(),
+            output: Symbol::intern(output),
+        }
+    }
+}
+
+/// What one cached structure's generations *read* from the database,
+/// recorded at store time so [`DagCache::validate_db`] can prove a
+/// mutation span left the entry intact: the tables their `Select` programs
+/// touch, and every node value — the frontier strings whose substring
+/// relations drove reachability. A mutation that neither writes a read
+/// table nor touches a value substring-related to a node value cannot
+/// change the generation result (see `DbDelta::affects`).
 #[derive(Debug, Clone)]
 pub(crate) struct ExampleDeps {
     /// Tables read by `Select` programs, sorted and deduplicated.
@@ -121,12 +120,11 @@ pub(crate) struct ExampleDeps {
     pub(crate) vals: Box<[Symbol]>,
 }
 
-/// One example-memo entry: the structure, its arena id, and (when the
-/// generation ran with the substring gate on) the reads that make it
-/// revalidatable across non-structural mutations.
+/// One prefix-memo entry: the structure and (when the generations ran with
+/// the substring gate on) the reads that make it revalidatable across
+/// non-structural mutations.
 #[derive(Debug, Clone)]
-struct ExampleEntry {
-    uid: StructId,
+struct MemoEntry {
     d: SemDStruct,
     /// `None` = not revalidatable (gate-off generation): evicted on any
     /// epoch move.
@@ -140,14 +138,14 @@ pub struct DagCacheStats {
     pub dag_hits: u64,
     /// Per-value DAG misses (builds).
     pub dag_misses: u64,
-    /// Whole-example hits.
+    /// Whole-example hits (prefix-memo probes of one-example chains).
     pub example_hits: u64,
     /// Whole-example misses (full generations).
     pub example_misses: u64,
-    /// Example-pair intersection hits.
+    /// Intersection hits (prefix-memo probes of longer chains).
     pub intersect_hits: u64,
-    /// Example-pair intersection misses (full `Intersect_u` runs through
-    /// the memoized path).
+    /// Intersection misses (full `Intersect_u` runs through the memoized
+    /// path).
     pub intersect_misses: u64,
 }
 
@@ -158,18 +156,9 @@ pub struct DagCacheStats {
 /// cheaper than growing without limit.
 const MAX_DAG_ENTRIES: usize = 1 << 16;
 
-/// Flush threshold for the whole-example memo. Example structures are the
-/// heavyweight entries (a full `SemDStruct` clone each); one §3.2 session
-/// needs a handful.
-const MAX_EXAMPLE_ENTRIES: usize = 1 << 12;
-
-/// Flush threshold for the example-pair intersection memo; sized like the
-/// example memo (its entries are the same shape).
-const MAX_INTERSECTION_ENTRIES: usize = 1 << 12;
-
-/// One memoized DAG: its arena id (the name the snapshot codec writes)
-/// plus the shared live structure.
-type DagEntry = (DagId, Arc<Dag<NodeId>>);
+/// Flush threshold for the prefix memo. Its entries are the heavyweight
+/// ones (a full `SemDStruct` clone each); one §3.2 session needs a handful.
+const MAX_MEMO_ENTRIES: usize = 1 << 13;
 
 /// The lock-guarded cache state (see [`DagCache`]).
 #[derive(Debug, Default)]
@@ -183,19 +172,11 @@ struct CacheState {
     /// session keeps its `SourcesEpoch` for the step) can never collide
     /// with a later snapshot's id and serve a stale DAG.
     next_epoch: u32,
-    /// `(sources epoch, value) → (arena id, DAG) of all expressions
-    /// producing the value over that snapshot`. The arena id names the
-    /// same DAG for the snapshot codec; live hits share the `Arc`.
-    dags: IntMap<(u32, Symbol), DagEntry>,
-    /// Whole-example generation memo.
-    examples: IntMap<ExampleKey, ExampleEntry>,
-    /// Example-pair intersection memo: operand ids → (result id,
-    /// structure).
-    intersections: IntMap<(StructId, StructId), (StructId, SemDStruct)>,
-    /// The id-plane every retained structure is interned into. Append-only
-    /// and **never cleared** — memo flushes drop entries, not values, so
-    /// ids held by in-flight work stay valid forever.
-    arena: Arena,
+    /// `(sources epoch, value) → DAG of all expressions producing the
+    /// value over that snapshot`; live hits share the `Arc`.
+    dags: IntMap<(u32, Symbol), Arc<Dag<NodeId>>>,
+    /// Prefix memo: example chain → `d₁ ∩ … ∩ d_k`.
+    memo: IntMap<Box<[ExampleKey]>, MemoEntry>,
 }
 
 /// Lock-free hit/miss counters.
@@ -217,10 +198,9 @@ struct AtomicStats {
 /// [`crate::LuOptions`].
 ///
 /// Memory is bounded: each memo flushes wholesale when it outgrows its
-/// threshold ([`MAX_DAG_ENTRIES`], [`MAX_EXAMPLE_ENTRIES`],
-/// [`MAX_INTERSECTION_ENTRIES`]) — correctness never depends on an entry
-/// being present, so eviction is just a refill cost on workloads large
-/// enough to hit it.
+/// threshold ([`MAX_DAG_ENTRIES`], [`MAX_MEMO_ENTRIES`]) — correctness
+/// never depends on an entry being present, so eviction is just a refill
+/// cost on workloads large enough to hit it.
 #[derive(Debug, Default)]
 pub struct DagCache {
     state: RwLock<CacheState>,
@@ -229,7 +209,7 @@ pub struct DagCache {
 
 impl DagCache {
     /// An empty cache (binds to a database epoch on first
-    /// [`DagCache::validate`]).
+    /// [`DagCache::validate_db`]).
     pub fn new() -> Self {
         DagCache::default()
     }
@@ -249,32 +229,16 @@ impl DagCache {
             .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
-    /// Rebinds the cache to `db_epoch`, clearing the example memo when the
-    /// database mutated since the cache was filled. The per-value DAG and
-    /// intersection memos survive: they are pure functions of their keys
-    /// (source-symbol snapshots and operand uids) and never read the
-    /// database. The common case — the epoch did not move — is a read-lock
-    /// check, so concurrent learns validating the same state never
-    /// contend. Prefer [`DagCache::validate_db`], which retains example
-    /// entries a known mutation span provably left intact.
-    pub fn validate(&self, db_epoch: u64) {
-        if self.read().db_epoch == db_epoch {
-            return;
-        }
-        let mut state = self.write();
-        if state.db_epoch != db_epoch {
-            state.examples.clear();
-            state.db_epoch = db_epoch;
-        }
-    }
-
-    /// Delta-aware [`DagCache::validate`]: when the epoch moved, asks the
-    /// database for the [`DbDelta`](sst_tables::DbDelta) spanning the move
-    /// and retains every revalidatable example entry the delta provably
-    /// didn't affect (no read table mutated, no touched value
+    /// Rebinds the cache to `db`'s current epoch. When the epoch moved,
+    /// asks the database for the [`DbDelta`](sst_tables::DbDelta) spanning
+    /// the move and retains every revalidatable prefix-memo entry the delta
+    /// provably didn't affect (no read table mutated, no touched value
     /// substring-related to a node value). Falls back to clearing the
-    /// example memo when the span is structural, has left the journal, or
-    /// belongs to a diverged database lineage.
+    /// prefix memo when the span is structural, has left the journal, or
+    /// belongs to a diverged database lineage. The per-value DAG memo
+    /// survives: it never reads the database. The common case — the epoch
+    /// did not move — is a read-lock check, so concurrent learns validating
+    /// the same state never contend.
     pub fn validate_db(&self, db: &Database) {
         let db_epoch = db.epoch();
         if self.read().db_epoch == db_epoch {
@@ -286,13 +250,13 @@ impl DagCache {
         }
         match db.delta_since(state.db_epoch) {
             Some(delta) if !delta.structural => {
-                state.examples.retain(|_, e| {
+                state.memo.retain(|_, e| {
                     e.deps
                         .as_ref()
                         .is_some_and(|deps| !delta.affects(&deps.tables, &deps.vals))
                 });
             }
-            _ => state.examples.clear(),
+            _ => state.memo.clear(),
         }
         state.db_epoch = db_epoch;
     }
@@ -319,19 +283,19 @@ impl DagCache {
         self.read().dags.len()
     }
 
-    /// Number of cached whole-example structures.
+    /// Number of cached whole-example structures (one-example chains).
     pub fn example_entries(&self) -> usize {
-        self.read().examples.len()
+        self.read().memo.keys().filter(|c| c.len() == 1).count()
     }
 
-    /// Number of cached example-pair intersections.
+    /// Number of cached intersections (chains of two or more examples).
     pub fn intersection_entries(&self) -> usize {
-        self.read().intersections.len()
+        self.read().memo.keys().filter(|c| c.len() > 1).count()
     }
 
     /// Interns the identity of one σ ∪ η̃ snapshot (the ordered source
     /// symbol list) into an epoch id.
-    pub fn epoch_of(&self, symbols: &[Symbol]) -> SourcesEpoch {
+    pub(crate) fn epoch_of(&self, symbols: &[Symbol]) -> SourcesEpoch {
         if let Some(&id) = self.read().epochs.get(symbols) {
             return SourcesEpoch(id);
         }
@@ -350,171 +314,102 @@ impl DagCache {
     /// shared: every hit aliases one allocation, and racing builders for
     /// one key converge on whichever insert landed first (`build` runs
     /// outside any lock).
-    pub fn dag_for(
+    pub(crate) fn dag_for(
         &self,
         epoch: SourcesEpoch,
         value: Symbol,
         build: impl FnOnce() -> Dag<NodeId>,
     ) -> Arc<Dag<NodeId>> {
-        if let Some((_, dag)) = self.read().dags.get(&(epoch.0, value)) {
+        if let Some(dag) = self.read().dags.get(&(epoch.0, value)) {
             self.stats.dag_hits.fetch_add(1, Ordering::Relaxed);
             return Arc::clone(dag);
         }
         self.stats.dag_misses.fetch_add(1, Ordering::Relaxed);
         let dag = Arc::new(build());
         let mut state = self.write();
-        if let Some((_, hit)) = state.dags.get(&(epoch.0, value)) {
+        if let Some(hit) = state.dags.get(&(epoch.0, value)) {
             return Arc::clone(hit); // raced: keep the first insert canonical
         }
         if state.dags.len() >= MAX_DAG_ENTRIES {
             // Epochs key into `dags`, so both flush together; the next
-            // sync re-interns the live snapshot. (The arena keeps the
-            // values — ids outlive the memo.)
+            // sync re-interns the live snapshot.
             state.dags.clear();
             state.epochs.clear();
         }
-        let id = state.arena.intern_dag(&dag);
-        state.dags.insert((epoch.0, value), (id, Arc::clone(&dag)));
+        state.dags.insert((epoch.0, value), Arc::clone(&dag));
         dag
     }
 
-    /// A previously generated per-example structure and its arena id, if
-    /// any.
+    /// The structure memoized for the example chain `chain`, if any. A
+    /// one-example chain counts as an example probe, a longer one as an
+    /// intersection probe.
     ///
     /// `db_epoch` is the database epoch the caller validated against;
     /// probes and stores are epoch-checked under the lock, so a cache
     /// (mis)shared by sessions over *different* databases can never serve
     /// one session an entry another session's database produced — their
-    /// traffic simply always misses. (Example keys carry no epoch, unlike
+    /// traffic simply always misses. (Chains carry no epoch, unlike
     /// per-value DAG keys, so the check cannot be skipped here.)
-    pub(crate) fn example(
-        &self,
-        db_epoch: u64,
-        inputs: &[Symbol],
-        output: Symbol,
-    ) -> Option<(StructId, SemDStruct)> {
-        let key = ExampleKey {
-            inputs: inputs.into(),
-            output,
+    pub(crate) fn lookup(&self, db_epoch: u64, chain: &[ExampleKey]) -> Option<SemDStruct> {
+        let (hits, misses) = if chain.len() == 1 {
+            (&self.stats.example_hits, &self.stats.example_misses)
+        } else {
+            (&self.stats.intersect_hits, &self.stats.intersect_misses)
         };
         let state = self.read();
-        match state.examples.get(&key) {
+        match state.memo.get(chain) {
             Some(e) if state.db_epoch == db_epoch => {
-                self.stats.example_hits.fetch_add(1, Ordering::Relaxed);
-                Some((e.uid, e.d.clone()))
+                hits.fetch_add(1, Ordering::Relaxed);
+                Some(e.d.clone())
             }
             _ => {
-                self.stats.example_misses.fetch_add(1, Ordering::Relaxed);
+                misses.fetch_add(1, Ordering::Relaxed);
                 None
             }
         }
     }
 
-    /// Stores a freshly generated per-example structure, returning its
-    /// arena id. `deps` records what the generation read (for selective
-    /// retention by [`DagCache::validate_db`]); `None` marks the entry
-    /// non-revalidatable. The id is a content address, so racing stores of
-    /// the same key trivially converge; if the cache was concurrently
-    /// rebound to a different database epoch, the structure is interned
-    /// (interning is db-independent) but *not* memoized — it would poison
-    /// the new epoch's entries.
-    pub(crate) fn store_example(
+    /// Stores the structure of `chain`. `deps` records what its
+    /// generations read (for selective retention by
+    /// [`DagCache::validate_db`]); `None` marks the entry
+    /// non-revalidatable. The first insert wins a race; if the cache was
+    /// concurrently rebound to a different database epoch, the store is
+    /// dropped — it would poison the new epoch's entries.
+    pub(crate) fn store(
         &self,
         db_epoch: u64,
-        inputs: &[Symbol],
-        output: Symbol,
+        chain: &[ExampleKey],
         d: &SemDStruct,
         deps: Option<ExampleDeps>,
-    ) -> StructId {
-        let key = ExampleKey {
-            inputs: inputs.into(),
-            output,
-        };
+    ) {
         let mut state = self.write();
-        let uid = intern_struct(&mut state.arena, d);
-        if state.db_epoch != db_epoch {
-            return uid;
+        if state.db_epoch != db_epoch || state.memo.contains_key(chain) {
+            return;
         }
-        if let Some(e) = state.examples.get(&key) {
-            return e.uid;
+        if state.memo.len() >= MAX_MEMO_ENTRIES {
+            state.memo.clear();
         }
-        if state.examples.len() >= MAX_EXAMPLE_ENTRIES {
-            state.examples.clear();
-        }
-        state.examples.insert(
-            key,
-            ExampleEntry {
-                uid,
-                d: d.clone(),
-                deps,
-            },
-        );
-        uid
+        state
+            .memo
+            .insert(chain.into(), MemoEntry { d: d.clone(), deps });
     }
 
-    /// A previously intersected example pair (by operand arena ids) and
-    /// the result's own id, if cached. Epoch-checked like
-    /// [`DagCache::example`].
-    pub(crate) fn intersection(
-        &self,
-        db_epoch: u64,
-        a: StructId,
-        b: StructId,
-    ) -> Option<(StructId, SemDStruct)> {
-        let state = self.read();
-        match state.intersections.get(&(a, b)) {
-            Some((uid, d)) if state.db_epoch == db_epoch => {
-                self.stats.intersect_hits.fetch_add(1, Ordering::Relaxed);
-                Some((*uid, d.clone()))
-            }
-            _ => {
-                self.stats.intersect_misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
-    }
-
-    /// Stores one intersection result under its operand ids, returning the
-    /// result's arena id (first insert wins on a race — trivially
-    /// value-consistent, since ids are content addresses; a stale epoch
-    /// interns but skips the memo insert, like
-    /// [`DagCache::store_example`]).
-    pub(crate) fn store_intersection(
-        &self,
-        db_epoch: u64,
-        a: StructId,
-        b: StructId,
-        d: &SemDStruct,
-    ) -> StructId {
-        let mut state = self.write();
-        let uid = intern_struct(&mut state.arena, d);
-        if state.db_epoch != db_epoch {
-            return uid;
-        }
-        if let Some((uid, _)) = state.intersections.get(&(a, b)) {
-            return *uid;
-        }
-        if state.intersections.len() >= MAX_INTERSECTION_ENTRIES {
-            state.intersections.clear();
-        }
-        state.intersections.insert((a, b), (uid, d.clone()));
-        uid
-    }
-
-    /// Hash-cons counters of the underlying arena (distinct values,
-    /// intern traffic, resident-bytes estimate).
+    /// Hash-cons counters (distinct values, intern traffic, resident-bytes
+    /// estimate) of the arena a snapshot would write now. Builds that arena
+    /// from the live entries, so each call costs O(memo).
     pub fn arena_stats(&self) -> ArenaStats {
-        self.read().arena.stats()
+        snapshot_arena(&self.read()).0.stats()
     }
 
-    /// Writes the cache's learned state — the arena and all three memos,
-    /// entries as arena ids — into a snapshot payload. Hit/miss counters
-    /// and the database-epoch binding are deliberately not serialized:
-    /// both are process-local (the restoring side binds to its own
-    /// restored database's epoch).
+    /// Writes the cache's learned state — a freshly built arena, the
+    /// sources epochs, and both memos with entries as arena ids — into a
+    /// snapshot payload. Hit/miss counters and the database-epoch binding
+    /// are deliberately not serialized: both are process-local (the
+    /// restoring side binds to its own restored database's epoch).
     pub fn encode_snapshot(&self, w: &mut Writer, sym: &mut SymEncoder) {
         let state = self.read();
-        state.arena.encode(w, sym);
+        let (arena, dag_ids, memo_ids) = snapshot_arena(&state);
+        arena.encode(w, sym);
         w.u32(state.epochs.len() as u32);
         for (syms, &id) in state.epochs.iter() {
             w.u32(syms.len() as u32);
@@ -525,19 +420,22 @@ impl DagCache {
         }
         w.u32(state.next_epoch);
         w.u32(state.dags.len() as u32);
-        for (&(epoch, value), &(id, _)) in state.dags.iter() {
+        for (&(epoch, value), id) in state.dags.keys().zip(dag_ids) {
             w.u32(epoch);
             sym.sym(value, w);
             w.u32(id.0);
         }
-        w.u32(state.examples.len() as u32);
-        for (key, entry) in state.examples.iter() {
-            w.u32(key.inputs.len() as u32);
-            for &s in key.inputs.iter() {
-                sym.sym(s, w);
+        w.u32(state.memo.len() as u32);
+        for ((chain, entry), id) in state.memo.iter().zip(memo_ids) {
+            w.u32(chain.len() as u32);
+            for key in chain.iter() {
+                w.u32(key.inputs.len() as u32);
+                for &s in key.inputs.iter() {
+                    sym.sym(s, w);
+                }
+                sym.sym(key.output, w);
             }
-            sym.sym(key.output, w);
-            w.u32(entry.uid.0);
+            w.u32(id.0);
             match &entry.deps {
                 None => w.bool(false),
                 Some(deps) => {
@@ -553,21 +451,16 @@ impl DagCache {
                 }
             }
         }
-        w.u32(state.intersections.len() as u32);
-        for (&(a, b), &(uid, _)) in state.intersections.iter() {
-            w.u32(a.0);
-            w.u32(b.0);
-            w.u32(uid.0);
-        }
     }
 
     /// Reads a cache written by [`DagCache::encode_snapshot`], extracting
-    /// every memoized structure back out of the restored arena (one shared
-    /// [`ExtractCtx`], so restored entries re-share `Arc` allocations like
-    /// a live fill would). Every id is bounds- and structure-validated —
-    /// a crafted payload fails typed, never panics. The cache binds to
-    /// `db_epoch`, the restoring process's epoch for the restored
-    /// database; counters start at zero.
+    /// every memoized structure back out of the snapshot's arena (one
+    /// shared [`ExtractCtx`], so restored entries re-share `Arc`
+    /// allocations like a live fill would) and then dropping the arena.
+    /// Every id is bounds- and structure-validated — a crafted payload
+    /// fails typed, never panics. The cache binds to `db_epoch`, the
+    /// restoring process's epoch for the restored database; counters start
+    /// at zero.
     pub fn decode_snapshot(
         r: &mut Reader<'_>,
         sym: &SymDecoder,
@@ -602,7 +495,6 @@ impl DagCache {
             return Err(corrupt("sources epoch beyond next_epoch"));
         }
         let n = r.count()?;
-        let mut ctx = ExtractCtx::new();
         for _ in 0..n {
             let epoch = r.u32()?;
             let value = sym.sym(r)?;
@@ -614,18 +506,29 @@ impl DagCache {
             };
             arena.validate_dag_nodes(id, num_nodes)?;
             let dag = Arc::new(arena.extract_dag(id));
-            if state.dags.insert((epoch, value), (id, dag)).is_some() {
+            if state.dags.insert((epoch, value), dag).is_some() {
                 return Err(corrupt("duplicate dag-memo key"));
             }
         }
         let n = r.count()?;
+        let mut ctx = ExtractCtx::new();
         for _ in 0..n {
             let len = r.count()?;
-            let mut inputs = Vec::with_capacity(len);
-            for _ in 0..len {
-                inputs.push(sym.sym(r)?);
+            if len == 0 {
+                return Err(corrupt("empty example chain"));
             }
-            let output = sym.sym(r)?;
+            let mut chain = Vec::with_capacity(len);
+            for _ in 0..len {
+                let n_inputs = r.count()?;
+                let mut inputs = Vec::with_capacity(n_inputs);
+                for _ in 0..n_inputs {
+                    inputs.push(sym.sym(r)?);
+                }
+                chain.push(ExampleKey {
+                    inputs: inputs.into(),
+                    output: sym.sym(r)?,
+                });
+            }
             let uid = StructId(r.u32()?);
             arena.validate_struct(uid)?;
             let deps = if r.bool()? {
@@ -647,32 +550,14 @@ impl DagCache {
                 None
             };
             let d = extract_struct(&arena, uid, &mut ctx);
-            let key = ExampleKey {
-                inputs: inputs.into(),
-                output,
-            };
             if state
-                .examples
-                .insert(key, ExampleEntry { uid, d, deps })
+                .memo
+                .insert(chain.into(), MemoEntry { d, deps })
                 .is_some()
             {
-                return Err(corrupt("duplicate example-memo key"));
+                return Err(corrupt("duplicate example chain"));
             }
         }
-        let n = r.count()?;
-        for _ in 0..n {
-            let a = StructId(r.u32()?);
-            let b = StructId(r.u32()?);
-            let uid = StructId(r.u32()?);
-            for id in [a, b, uid] {
-                arena.validate_struct(id)?;
-            }
-            let d = extract_struct(&arena, uid, &mut ctx);
-            if state.intersections.insert((a, b), (uid, d)).is_some() {
-                return Err(corrupt("duplicate intersection-memo key"));
-            }
-        }
-        state.arena = arena;
         Ok(DagCache {
             state: RwLock::new(state),
             stats: AtomicStats::default(),
@@ -680,9 +565,29 @@ impl DagCache {
     }
 }
 
+/// The arena a snapshot of `state` writes, built fresh: `intern_dag` once
+/// per per-value DAG entry and `intern_struct` once per prefix-memo entry.
+/// Returns the arena and the entries' ids in the maps' iteration order.
+/// The only place the live cache constructs an [`Arena`]; O(memo) per call.
+fn snapshot_arena(state: &CacheState) -> (Arena, Vec<DagId>, Vec<StructId>) {
+    let mut arena = Arena::new();
+    let dags = state
+        .dags
+        .values()
+        .map(|dag| arena.intern_dag(dag))
+        .collect();
+    let memo = state
+        .memo
+        .values()
+        .map(|e| intern_struct(&mut arena, &e.d))
+        .collect();
+    (arena, dags, memo)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sst_tables::Table;
     use std::collections::BTreeMap;
 
     fn dag(n: u32) -> Dag<NodeId> {
@@ -692,6 +597,36 @@ mod tests {
             target: n.max(1) - 1,
             edges: BTreeMap::new(),
         }
+    }
+
+    fn key(input: &str, output: &str) -> ExampleKey {
+        ExampleKey::new(&[input], output)
+    }
+
+    fn deps(tables: &[TableId], vals: &[&str]) -> Option<ExampleDeps> {
+        Some(ExampleDeps {
+            tables: tables.into(),
+            vals: vals.iter().map(|v| Symbol::intern(v)).collect(),
+        })
+    }
+
+    /// Two tables, `Comp` (0) and `Month` (1), for the validation tests.
+    fn two_table_db() -> Database {
+        Database::from_tables(vec![
+            Table::new(
+                "Comp",
+                vec!["Id", "Name"],
+                vec![vec!["vc1", "VMicrosoft"], vec!["vc2", "VGoogle"]],
+            )
+            .unwrap(),
+            Table::new(
+                "Month",
+                vec!["MN", "MW"],
+                vec![vec!["vm1", "VJanuary"], vec!["vm2", "VFebruary"]],
+            )
+            .unwrap(),
+        ])
+        .unwrap()
     }
 
     #[test]
@@ -728,21 +663,17 @@ mod tests {
 
     #[test]
     fn validate_clears_examples_on_epoch_move_only() {
+        let mut db = two_table_db();
         let c = DagCache::new();
-        c.validate(7);
+        c.validate_db(&db);
         let e = c.epoch_of(&[Symbol::intern("s")]);
         c.dag_for(e, Symbol::intern("v"), || dag(2));
-        c.store_example(
-            7,
-            &[Symbol::intern("vi")],
-            Symbol::intern("vo"),
-            &SemDStruct::default(),
-            None,
-        );
-        c.validate(7);
+        c.store(db.epoch(), &[key("vi", "vo")], &SemDStruct::default(), None);
+        c.validate_db(&db);
         assert_eq!(c.dag_entries(), 1, "same epoch keeps entries");
         assert_eq!(c.example_entries(), 1);
-        c.validate(8);
+        db.insert_rows(1, vec![vec!["vm3", "VMarch"]]).unwrap();
+        c.validate_db(&db);
         assert_eq!(
             c.dag_entries(),
             1,
@@ -751,64 +682,33 @@ mod tests {
         assert_eq!(
             c.example_entries(),
             0,
-            "moved epoch clears the example memo"
+            "moved epoch evicts the non-revalidatable entry"
         );
-        assert_eq!(c.db_epoch(), 8);
+        assert_eq!(c.db_epoch(), db.epoch());
     }
 
     #[test]
     fn validate_db_retains_unaffected_examples() {
-        use sst_tables::{Database, Table};
-        let mut db = Database::from_tables(vec![
-            Table::new(
-                "Comp",
-                vec!["Id", "Name"],
-                vec![vec!["vc1", "VMicrosoft"], vec!["vc2", "VGoogle"]],
-            )
-            .unwrap(),
-            Table::new(
-                "Month",
-                vec!["MN", "MW"],
-                vec![vec!["vm1", "VJanuary"], vec!["vm2", "VFebruary"]],
-            )
-            .unwrap(),
-        ])
-        .unwrap();
+        let mut db = two_table_db();
         let c = DagCache::new();
         c.validate_db(&db);
         let d = SemDStruct::default();
         // An entry reading only Comp (table 0), one reading only Month
         // (table 1), and a non-revalidatable one.
-        let deps0 = ExampleDeps {
-            tables: Box::new([0]),
-            vals: Box::new([Symbol::intern("vc2"), Symbol::intern("VGoogle")]),
-        };
-        let deps1 = ExampleDeps {
-            tables: Box::new([1]),
-            vals: Box::new([Symbol::intern("vm1"), Symbol::intern("VJanuary")]),
-        };
         let epoch = db.epoch();
-        c.store_example(
+        c.store(
             epoch,
-            &[Symbol::intern("vc2")],
-            Symbol::intern("VGoogle"),
+            &[key("vc2", "VGoogle")],
             &d,
-            Some(deps0),
+            deps(&[0], &["vc2", "VGoogle"]),
         );
-        c.store_example(
+        c.store(
             epoch,
-            &[Symbol::intern("vm1")],
-            Symbol::intern("VJanuary"),
+            &[key("vm1", "VJanuary")],
             &d,
-            Some(deps1),
+            deps(&[1], &["vm1", "VJanuary"]),
         );
-        c.store_example(
-            epoch,
-            &[Symbol::intern("vx")],
-            Symbol::intern("vy"),
-            &d,
-            None,
-        );
+        c.store(epoch, &[key("vx", "vy")], &d, None);
         assert_eq!(c.example_entries(), 3);
 
         // A row insert into Month: the Comp entry survives, the Month
@@ -817,13 +717,7 @@ mod tests {
         c.validate_db(&db);
         assert_eq!(c.db_epoch(), db.epoch());
         assert_eq!(c.example_entries(), 1, "only the Comp-only entry survives");
-        assert!(c
-            .example(
-                db.epoch(),
-                &[Symbol::intern("vc2")],
-                Symbol::intern("VGoogle")
-            )
-            .is_some());
+        assert!(c.lookup(db.epoch(), &[key("vc2", "VGoogle")]).is_some());
 
         // A mutation touching a value substring-related to the surviving
         // entry's node values evicts it even though the table differs.
@@ -832,16 +726,11 @@ mod tests {
         assert_eq!(c.example_entries(), 0, "substring-related delta evicts");
 
         // A structural mutation clears wholesale.
-        let deps = ExampleDeps {
-            tables: Box::new([0]),
-            vals: Box::new([Symbol::intern("vc1")]),
-        };
-        c.store_example(
+        c.store(
             db.epoch(),
-            &[Symbol::intern("vc1")],
-            Symbol::intern("VMicrosoft"),
+            &[key("vc1", "VMicrosoft")],
             &d,
-            Some(deps),
+            deps(&[0], &["vc1"]),
         );
         db.add_table(Table::new("P", vec!["K"], vec![vec!["vk1"]]).unwrap())
             .unwrap();
@@ -860,61 +749,80 @@ mod tests {
         }
     }
 
-    #[test]
-    fn intersection_memo_keys_by_struct_id_pair() {
-        let c = DagCache::new();
-        let da = named_struct("sid-a");
-        let db = named_struct("sid-b");
-        let ua = c.store_example(0, &[Symbol::intern("ia")], Symbol::intern("oa"), &da, None);
-        let ub = c.store_example(0, &[Symbol::intern("ib")], Symbol::intern("ob"), &db, None);
-        assert_ne!(ua, ub, "distinct values, distinct ids");
-        // Ids are content addresses: the same value under a different
-        // example key names the same id.
-        let ua2 = c.store_example(0, &[Symbol::intern("ic")], Symbol::intern("oc"), &da, None);
-        assert_eq!(ua, ua2, "equal values intern to equal ids");
-        assert!(c.intersection(0, ua, ub).is_none());
-        let uid = c.store_intersection(0, ua, ub, &da);
-        assert_eq!(uid, ua, "the result id is the result value's id");
-        let (hit_uid, _) = c.intersection(0, ua, ub).expect("stored");
-        assert_eq!(hit_uid, uid);
-        assert!(
-            c.intersection(0, ub, ua).is_none(),
-            "order is part of the key"
-        );
-        assert_eq!(c.intersection_entries(), 1);
-        // A probe validated against a different db epoch must miss even
-        // though the key is present (cross-database cache sharing).
-        assert!(c.intersection(42, ua, ub).is_none());
-        // Validation to a new db state *keeps* the intersection memo: ids
-        // name operand values (never reused or rebound), so the pure
-        // `d₁ ∩ d₂` result stays sound across mutations.
-        c.validate(99);
-        let (rebound_uid, _) = c.intersection(99, ua, ub).expect("pure memo survives");
-        assert_eq!(rebound_uid, uid);
-        // Stores against a stale epoch still name the value (interning is
-        // db-independent) but are not memoized — they could be mid-flight
-        // results from a diverged database sharing the cache.
-        let stale_uid = c.store_intersection(0, ub, ua, &db);
-        assert_eq!(stale_uid, ub, "content address even when not stored");
-        assert_eq!(c.intersection_entries(), 1, "stale-epoch store dropped");
-        let uid2 = c.store_intersection(99, ub, ua, &db);
-        assert_eq!(uid2, ub);
-        assert_eq!(c.intersection_entries(), 2);
+    fn tag(d: &SemDStruct) -> &'static str {
+        d.nodes[0].vals[0].as_str()
     }
 
     #[test]
-    fn store_example_is_first_insert_wins() {
+    fn prefix_memo_keys_by_example_chain() {
+        let mut db = two_table_db();
         let c = DagCache::new();
-        let d = named_struct("fiw");
-        let ins = [Symbol::intern("fi")];
-        let out = Symbol::intern("fo");
-        let u1 = c.store_example(0, &ins, out, &d, None);
-        let u2 = c.store_example(0, &ins, out, &d, None);
-        assert_eq!(u1, u2, "re-store returns the canonical id");
-        let (hit, _) = c.example(0, &ins, out).expect("stored");
-        assert_eq!(hit, u1);
+        c.validate_db(&db);
+        let epoch = db.epoch();
+        let (a, b) = (key("vc2", "VGoogle"), key("vm1", "VJanuary"));
+        let ab = [a.clone(), b.clone()];
+        assert!(c.lookup(epoch, &ab).is_none());
+        assert_eq!(
+            c.stats().intersect_misses,
+            1,
+            "long chains probe as intersections"
+        );
+        assert_eq!(c.stats().example_misses, 0);
+        // The chain's deps are the union of its examples' reads.
+        c.store(
+            epoch,
+            &ab,
+            &named_struct("ab"),
+            deps(&[0, 1], &["vc2", "VGoogle", "vm1", "VJanuary"]),
+        );
+        c.store(
+            epoch,
+            std::slice::from_ref(&a),
+            &named_struct("a"),
+            deps(&[0], &["vc2"]),
+        );
+        assert_eq!(tag(&c.lookup(epoch, &ab).expect("stored")), "ab");
+        assert_eq!(
+            tag(&c.lookup(epoch, std::slice::from_ref(&a)).expect("stored")),
+            "a"
+        );
+        assert_eq!(c.stats().intersect_hits, 1);
+        assert_eq!(c.stats().example_hits, 1);
         assert!(
-            c.example(7, &ins, out).is_none(),
+            c.lookup(epoch, &[b.clone(), a.clone()]).is_none(),
+            "order is part of the key"
+        );
+        assert_eq!((c.example_entries(), c.intersection_entries()), (1, 1));
+        // A probe validated against a different db epoch must miss even
+        // though the key is present (cross-database cache sharing), and a
+        // store against a stale epoch is dropped.
+        assert!(c.lookup(epoch + 1000, &ab).is_none());
+        c.store(
+            epoch + 1000,
+            std::slice::from_ref(&b),
+            &named_struct("b"),
+            None,
+        );
+        assert_eq!(c.example_entries(), 1, "stale-epoch store dropped");
+
+        // A write to a table only `b` read evicts the chain through the
+        // union, and keeps `a` warm.
+        db.insert_rows(1, vec![vec!["vm3", "VMarch"]]).unwrap();
+        c.validate_db(&db);
+        assert!(c.lookup(db.epoch(), &[a]).is_some());
+        assert!(c.lookup(db.epoch(), &ab).is_none(), "chain evicted");
+        assert_eq!((c.example_entries(), c.intersection_entries()), (1, 0));
+    }
+
+    #[test]
+    fn store_is_first_insert_wins() {
+        let c = DagCache::new();
+        let chain = [key("fi", "fo")];
+        c.store(0, &chain, &named_struct("first"), None);
+        c.store(0, &chain, &named_struct("second"), None);
+        assert_eq!(tag(&c.lookup(0, &chain).expect("stored")), "first");
+        assert!(
+            c.lookup(7, &chain).is_none(),
             "epoch-mismatched probe misses"
         );
     }
@@ -922,13 +830,15 @@ mod tests {
     #[test]
     fn arena_stats_track_dedup() {
         let c = DagCache::new();
+        assert_eq!(c.arena_stats().stored, 0, "no entries, empty arena");
         let d = named_struct("dup");
-        c.store_example(0, &[Symbol::intern("a1")], Symbol::intern("b1"), &d, None);
-        c.store_example(0, &[Symbol::intern("a2")], Symbol::intern("b2"), &d, None);
+        c.store(0, &[key("a1", "b1")], &d, None);
+        c.store(0, &[key("a2", "b2")], &d, None);
         let stats = c.arena_stats();
         assert!(stats.hits() > 0, "second intern of the same value hits");
         assert!(stats.dedup_ratio() > 1.0);
         assert!(stats.resident_bytes > 0);
+        assert_eq!(c.arena_stats(), stats, "built fresh, so calls agree");
     }
 
     #[test]
@@ -936,21 +846,18 @@ mod tests {
         use sst_arena::{SymDecoder, SymEncoder};
 
         let c = DagCache::new();
-        c.validate(5);
         let e = c.epoch_of(&[Symbol::intern("snap-src")]);
         let dag_val = Symbol::intern("snap-val");
         c.dag_for(e, dag_val, || dag(3));
-        let da = named_struct("snap-a");
-        let db = named_struct("snap-b");
-        let ins = [Symbol::intern("snap-in")];
-        let out = Symbol::intern("snap-out");
-        let deps = ExampleDeps {
-            tables: Box::new([0]),
-            vals: Box::new([Symbol::intern("snap-in")]),
-        };
-        let ua = c.store_example(5, &ins, out, &da, Some(deps));
-        let ub = c.store_example(5, &[Symbol::intern("snap-in2")], out, &db, None);
-        c.store_intersection(5, ua, ub, &da);
+        let (ka, kb) = (key("snap-in", "snap-out"), key("snap-in2", "snap-out"));
+        let ab = [ka.clone(), kb];
+        c.store(
+            0,
+            std::slice::from_ref(&ka),
+            &named_struct("snap-a"),
+            deps(&[0], &["snap-in"]),
+        );
+        c.store(0, &ab, &named_struct("snap-ab"), None);
 
         let mut body = sst_arena::Writer::new();
         let mut enc = SymEncoder::new();
@@ -967,24 +874,23 @@ mod tests {
         r.expect_end().unwrap();
 
         assert_eq!(restored.db_epoch(), 77, "binds to the caller's epoch");
-        assert_eq!(restored.example_entries(), 2);
+        assert_eq!(restored.example_entries(), 1);
         assert_eq!(restored.intersection_entries(), 1);
         assert_eq!(restored.dag_entries(), 1);
-        // Warm probes hit and return the same ids.
-        let (uid, d) = restored.example(77, &ins, out).expect("warm example");
-        assert_eq!(uid, ua);
-        assert_eq!(d.nodes[0].vals, da.nodes[0].vals);
-        let (iuid, _) = restored
-            .intersection(77, ua, ub)
-            .expect("warm intersection");
-        assert_eq!(iuid, ua);
+        assert_eq!(restored.arena_stats(), c.arena_stats());
+        // Warm probes hit and return the same values.
+        let d = restored.lookup(77, &[ka]).expect("warm example");
+        assert_eq!(tag(&d), "snap-a");
+        let d = restored.lookup(77, &ab).expect("warm intersection");
+        assert_eq!(tag(&d), "snap-ab");
         let hit = restored.dag_for(
             restored.epoch_of(&[Symbol::intern("snap-src")]),
             dag_val,
             || unreachable!("must be warm"),
         );
         assert_eq!(hit.num_nodes, 3);
-        assert!(restored.stats().example_hits > 0);
+        let stats = restored.stats();
+        assert_eq!((stats.example_hits, stats.intersect_hits), (1, 1));
     }
 
     #[test]
@@ -992,17 +898,15 @@ mod tests {
         use sst_arena::{SymDecoder, SymEncoder};
 
         let c = DagCache::new();
-        let d = named_struct("oob");
-        c.store_example(0, &[Symbol::intern("oi")], Symbol::intern("oo"), &d, None);
+        c.store(0, &[key("oi", "oo")], &named_struct("oob"), None);
         let mut body = sst_arena::Writer::new();
         let mut enc = SymEncoder::new();
         c.encode_snapshot(&mut body, &mut enc);
         let mut w = sst_arena::Writer::new();
         enc.write_table(&mut w);
         let body = body.into_bytes();
-        // The example entry's struct id is the last u32 before its deps
-        // flag byte (one trailing u32 intersection count + none follow);
-        // rather than byte-surgery, decode a truncated payload instead.
+        // Cut into the memo entry's struct id (a u32 followed by one deps
+        // flag byte).
         w.raw(&body[..body.len() - 4]);
         let bytes = w.into_bytes();
         let mut r = sst_arena::Reader::new(&bytes);

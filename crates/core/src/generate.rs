@@ -29,14 +29,13 @@
 use std::collections::HashSet;
 use std::sync::Arc;
 
-use sst_arena::StructId;
 use sst_lookup::reach::{reach, Activation, ReachPolicy, ReachState};
 use sst_lookup::NodeId;
 use sst_par::CancelToken;
 use sst_syntactic::{generate_dag_prepared, Dag, GenOptions, PreparedSources};
 use sst_tables::{ColId, Database, IntMap, RowId, Symbol, TableId};
 
-use crate::cache::{DagCache, ExampleDeps, SourcesEpoch};
+use crate::cache::{DagCache, ExampleDeps, ExampleKey, SourcesEpoch};
 use crate::dstruct::{GenCondU, GenLookupU, GenPredU, SemDStruct, SemNode};
 
 /// Options for `Lu` generation.
@@ -303,26 +302,12 @@ pub fn generate_str_u(
     output: &str,
     opts: &LuOptions,
 ) -> SemDStruct {
-    generate_str_u_impl(db, inputs, output, opts, None, &CancelToken::default())
-}
-
-/// [`generate_str_u`] under a cooperative [`CancelToken`]: a fired token
-/// makes the reachability frontier dry up at the next coarse checkpoint
-/// and the (partial, to-be-discarded) structure return early. The caller
-/// is responsible for checking the token and discarding the result.
-pub(crate) fn generate_str_u_budgeted(
-    db: &Database,
-    inputs: &[&str],
-    output: &str,
-    opts: &LuOptions,
-    cancel: &CancelToken,
-) -> SemDStruct {
-    generate_str_u_impl(db, inputs, output, opts, None, cancel)
+    generate_str_u_in(db, inputs, output, opts, None, &CancelToken::default())
 }
 
 /// [`generate_str_u`] backed by a [`DagCache`]: per-value DAGs are served
 /// from `(sources_epoch, value)` entries and whole repeated examples from
-/// the example memo, with results bit-identical to the uncached path (the
+/// the prefix memo, with results bit-identical to the uncached path (the
 /// cache self-validates against `db.epoch()` first, so a mutated database
 /// never serves stale structures). The cache must not be shared across
 /// differing `opts`.
@@ -333,56 +318,23 @@ pub fn generate_str_u_cached(
     opts: &LuOptions,
     cache: &DagCache,
 ) -> SemDStruct {
-    generate_str_u_keyed(db, inputs, output, opts, cache, &CancelToken::default()).0
+    generate_str_u_in(
+        db,
+        inputs,
+        output,
+        opts,
+        Some(cache),
+        &CancelToken::default(),
+    )
 }
 
-/// [`generate_str_u_cached`] that also reports the structure's arena id,
-/// the key half of the example-pair intersection memo (`Synthesizer::learn`
-/// keys `d₁ ∩ d₂` on the operands' ids). A cancellation observed during
-/// the build skips the whole-example store (the partial structure never
-/// enters the memo) and reports no id.
-pub(crate) fn generate_str_u_keyed(
-    db: &Database,
-    inputs: &[&str],
-    output: &str,
-    opts: &LuOptions,
-    cache: &DagCache,
-    cancel: &CancelToken,
-) -> (SemDStruct, Option<StructId>) {
-    // Whole-example memo: `Synthesize` on a growing example prefix (the
-    // §3.2 loop) replays generation for every earlier example; generation
-    // is deterministic in (db, inputs, output, opts), so an unmutated
-    // database can serve the previous structure outright.
-    let db_epoch = db.epoch();
-    cache.validate_db(db);
-    let ins: Vec<Symbol> = inputs.iter().map(|s| Symbol::intern(s)).collect();
-    let out = Symbol::intern(output);
-    if let Some((uid, hit)) = cache.example(db_epoch, &ins, out) {
-        return (hit, Some(uid));
-    }
-    let d = generate_str_u_impl(db, inputs, output, opts, Some(cache), cancel);
-    if cancel.is_cancelled() {
-        // Partial structure: never enters the whole-example memo.
-        return (d, None);
-    }
-    // With the substring gate on, the structure's node values summarize
-    // exactly the strings that could activate cells, so recording the
-    // reads makes the entry revalidatable across unrelated row-level
-    // mutations; gate-off activations also depend on shared characters,
-    // which the summary cannot prove unaffected — those entries evict on
-    // any epoch move.
-    let deps = opts.substring_gate.then(|| {
-        let (tables, vals) = d.reads();
-        ExampleDeps {
-            tables: tables.into(),
-            vals: vals.into(),
-        }
-    });
-    let uid = cache.store_example(db_epoch, &ins, out, &d, deps);
-    (d, Some(uid))
-}
-
-fn generate_str_u_impl(
+/// The one generation entry point: [`generate_str_u`] on the memoized DAG
+/// plane when `cache` is given, under a cooperative [`CancelToken`]. A
+/// fired token makes the reachability frontier dry up at the next coarse
+/// checkpoint and the (partial, to-be-discarded) structure return early;
+/// the caller checks the token and discards the result, and the partial
+/// structure never enters the memo.
+pub(crate) fn generate_str_u_in(
     db: &Database,
     inputs: &[&str],
     output: &str,
@@ -390,6 +342,20 @@ fn generate_str_u_impl(
     cache: Option<&DagCache>,
     cancel: &CancelToken,
 ) -> SemDStruct {
+    // Whole-example memo (the one-example chain): `Synthesize` on a growing
+    // example prefix (the §3.2 loop) replays generation for every earlier
+    // example; generation is deterministic in (db, inputs, output, opts),
+    // so an unmutated database can serve the previous structure outright.
+    let memo = cache.map(|c| {
+        c.validate_db(db);
+        (c, db.epoch(), [ExampleKey::new(inputs, output)])
+    });
+    if let Some((c, db_epoch, key)) = &memo {
+        if let Some(hit) = c.lookup(*db_epoch, key) {
+            return hit;
+        }
+    }
+
     let mut gate = RelaxedGate {
         opts,
         prepared: None,
@@ -408,7 +374,7 @@ fn generate_str_u_impl(
     gate.sync_sources(&state);
     let top: Arc<Dag<NodeId>> = gate.dag_for_value(Symbol::intern(output));
 
-    SemDStruct {
+    let d = SemDStruct {
         nodes: state
             .into_nodes()
             .into_iter()
@@ -418,7 +384,26 @@ fn generate_str_u_impl(
             })
             .collect(),
         top: Some(top),
+    };
+    if let Some((c, db_epoch, key)) = memo {
+        if !cancel.is_cancelled() {
+            // With the substring gate on, the structure's node values
+            // summarize exactly the strings that could activate cells, so
+            // recording the reads makes the entry revalidatable across
+            // unrelated row-level mutations; gate-off activations also
+            // depend on shared characters, which the summary cannot prove
+            // unaffected — those entries evict on any epoch move.
+            let deps = opts.substring_gate.then(|| {
+                let (tables, vals) = d.reads();
+                ExampleDeps {
+                    tables: tables.into(),
+                    vals: vals.into(),
+                }
+            });
+            c.store(db_epoch, &key, &d, deps);
+        }
     }
+    d
 }
 
 #[cfg(test)]

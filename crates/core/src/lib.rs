@@ -65,8 +65,7 @@ mod paraphrase;
 mod rank;
 mod synthesizer;
 
-pub use arena_plane::{extract_struct, intern_struct, ExtractCtx};
-pub use cache::{DagCache, DagCacheStats, SourcesEpoch};
+pub use cache::{DagCache, DagCacheStats};
 pub use compiled::{ApplyScratch, CompiledProgram};
 pub use dstruct::{GenCondU, GenLookupU, GenPredU, SemDStruct, SemNode};
 pub use eval::{eval_lookup_u, eval_sem};

@@ -7,16 +7,15 @@ use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::Arc;
 
-use sst_arena::StructId;
 use sst_counting::BigUint;
 use sst_par::CancelToken;
 use sst_syntactic::TokenSet;
 use sst_tables::{Database, DbDelta, Symbol, Table, TableError, TableId};
 
-use crate::cache::DagCache;
+use crate::cache::{DagCache, ExampleDeps, ExampleKey};
 use crate::dstruct::SemDStruct;
 use crate::eval::eval_sem;
-use crate::generate::{generate_str_u_budgeted, generate_str_u_keyed, LuOptions};
+use crate::generate::{generate_str_u_in, LuOptions};
 use crate::intersect::intersect_du_budgeted;
 use crate::language::{display_sem, SemExpr};
 use crate::paraphrase::paraphrase_sem;
@@ -120,9 +119,9 @@ pub struct SynthesisOptions {
     pub weights: LuRankWeights,
     /// Whether learning runs on the memoized DAG plane ([`DagCache`]):
     /// per-value predicate/top DAGs shared by `(sources_epoch, value)`,
-    /// whole repeated examples served from the session memo, and repeated
-    /// example-pair intersections served from the uid-keyed intersection
-    /// memo. Results are bit-identical either way (pinned by
+    /// whole repeated examples and repeated intersections of an example
+    /// prefix served from the prefix memo keyed by the example chain.
+    /// Results are bit-identical either way (pinned by
     /// `tests/dag_memo_equivalence.rs`); the toggle exists for that
     /// differential harness and for perf comparisons. Default: enabled.
     pub dag_cache: bool,
@@ -257,7 +256,7 @@ impl SynthesisOptionsBuilder {
 ///
 /// Holds the session's memoized DAG plane: a [`DagCache`] shared by every
 /// `learn` call (and by clones of this synthesizer), so the §3.2
-/// interaction loop's repeated generations and example-pair intersections
+/// interaction loop's repeated generations and prefix intersections
 /// are served from memory. The cache is interior-mutable with a read-path
 /// that takes no exclusive lock, so concurrent learns over clones share
 /// the warm plane instead of serializing. It self-validates against the
@@ -329,7 +328,7 @@ impl Synthesizer {
     ///
     /// The mutated synthesizer also detaches onto a fresh cache: clones
     /// made before the mutation keep the old one, so two diverged
-    /// databases never alternate `validate` clears on a shared cache
+    /// databases never alternate `validate_db` clears on a shared cache
     /// (which would silently disable caching for both).
     pub fn add_table(&mut self, table: Table) -> Result<TableId, TableError> {
         let id = Arc::make_mut(&mut self.db).add_table(table)?;
@@ -348,8 +347,9 @@ impl Synthesizer {
     /// The session cache is probed lock-free-ish (read locks only) on the
     /// warm path, so concurrent learns over clones share one warm plane
     /// without serializing. The learn itself runs serially on the calling
-    /// thread; repeated example-pair intersections (the §3.2 loop's
-    /// replays) are served from the uid-keyed intersection memo.
+    /// thread; each example probes its own one-example chain and each
+    /// intersection the chain of examples so far, so the §3.2 loop's
+    /// replays are served from the prefix memo.
     pub fn learn(&self, examples: &[Example]) -> Result<LearnedPrograms, SynthesisError> {
         let first = examples.first().ok_or(SynthesisError::NoExamples)?;
         let arity = first.inputs.len();
@@ -365,29 +365,18 @@ impl Synthesizer {
         let db_epoch = self.db.epoch();
         let cancel = &self.options.cancel;
         let cache: Option<&DagCache> = self.options.dag_cache.then_some(&*self.cache);
-        let generate = |e: &Example| -> (SemDStruct, Option<StructId>) {
-            match cache {
-                Some(c) => generate_str_u_keyed(
-                    &self.db,
-                    &e.input_refs(),
-                    &e.output,
-                    &self.options.lu,
-                    c,
-                    cancel,
-                ),
-                None => (
-                    generate_str_u_budgeted(
-                        &self.db,
-                        &e.input_refs(),
-                        &e.output,
-                        &self.options.lu,
-                        cancel,
-                    ),
-                    None,
-                ),
-            }
+        let generate = |e: &Example| {
+            generate_str_u_in(
+                &self.db,
+                &e.input_refs(),
+                &e.output,
+                &self.options.lu,
+                cache,
+                cancel,
+            )
         };
-        let (mut d, mut d_uid) = generate(first);
+        let key = |e: &Example| ExampleKey::new(&e.input_refs(), &e.output);
+        let mut d = generate(first);
         if cancel.is_cancelled() {
             return Err(SynthesisError::Cancelled);
         }
@@ -398,8 +387,10 @@ impl Synthesizer {
         // the activation-relevant strings — see `SemDStruct::reads`.
         let mut reads: Option<(Vec<TableId>, Vec<Symbol>)> =
             self.options.lu.substring_gate.then(|| d.reads());
+        // The examples so far: the prefix-memo key of `d`.
+        let mut chain: Vec<ExampleKey> = cache.map(|_| key(first)).into_iter().collect();
         for e in &examples[1..] {
-            let (next, next_uid) = generate(e);
+            let next = generate(e);
             if cancel.is_cancelled() {
                 return Err(SynthesisError::Cancelled);
             }
@@ -412,7 +403,30 @@ impl Synthesizer {
                 vals.sort_unstable();
                 vals.dedup();
             }
-            (d, d_uid) = intersect_step(cache, db_epoch, d, d_uid, &next, next_uid, cancel);
+            // `d₁ ∩ … ∩ d_k`, served from the prefix memo when this chain
+            // was intersected before. A cancellation observed during the
+            // compute skips the store — partial intersections never enter
+            // the memo — and the learn aborts just below.
+            d = match cache {
+                None => intersect_du_budgeted(&d, &next, cancel),
+                Some(c) => {
+                    chain.push(key(e));
+                    match c.lookup(db_epoch, &chain) {
+                        Some(hit) => hit,
+                        None => {
+                            let r = intersect_du_budgeted(&d, &next, cancel);
+                            if !cancel.is_cancelled() {
+                                let deps = reads.as_ref().map(|(tables, vals)| ExampleDeps {
+                                    tables: tables.as_slice().into(),
+                                    vals: vals.as_slice().into(),
+                                });
+                                c.store(db_epoch, &chain, &r, deps);
+                            }
+                            r
+                        }
+                    }
+                }
+            };
             if cancel.is_cancelled() {
                 return Err(SynthesisError::Cancelled);
             }
@@ -430,38 +444,6 @@ impl Synthesizer {
             options: self.options.clone(),
             reads,
         })
-    }
-}
-
-/// One `d ∩ next` step of the learn loop: served from the example-pair
-/// intersection memo when both operands carry arena ids (ids are content
-/// addresses, so the operands' *values* are then exactly the memo key's),
-/// computed and stored otherwise. Chained steps stay memoized because the
-/// stored result's own id keys the next step. A cancellation observed
-/// during the compute skips the store — partial intersections never enter
-/// the memo — and the caller aborts the learn at its own checkpoint.
-fn intersect_step(
-    cache: Option<&DagCache>,
-    db_epoch: u64,
-    a: SemDStruct,
-    a_uid: Option<StructId>,
-    b: &SemDStruct,
-    b_uid: Option<StructId>,
-    cancel: &CancelToken,
-) -> (SemDStruct, Option<StructId>) {
-    match (cache, a_uid, b_uid) {
-        (Some(c), Some(ia), Some(ib)) => {
-            if let Some((uid, hit)) = c.intersection(db_epoch, ia, ib) {
-                return (hit, Some(uid));
-            }
-            let r = intersect_du_budgeted(&a, b, cancel);
-            if cancel.is_cancelled() {
-                return (r, None);
-            }
-            let uid = c.store_intersection(db_epoch, ia, ib, &r);
-            (r, Some(uid))
-        }
-        _ => (intersect_du_budgeted(&a, b, cancel), None),
     }
 }
 

@@ -890,9 +890,12 @@ fn metrics_response(state: &State) -> Response {
             );
         }
     }
+    // The arena gauges describe the arena a snapshot of each engine's memo
+    // would write now (built per scrape, O(memo)); they fall when the memo
+    // evicts or flushes.
     out.push_str("# TYPE sst_arena_nodes gauge\n");
-    out.push_str("# TYPE sst_arena_interned_total counter\n");
-    out.push_str("# TYPE sst_arena_hashcons_hits_total counter\n");
+    out.push_str("# TYPE sst_arena_interned_total gauge\n");
+    out.push_str("# TYPE sst_arena_hashcons_hits_total gauge\n");
     out.push_str("# TYPE sst_arena_resident_bytes gauge\n");
     for name in &state.engine_names {
         let arena = state.engines[name].arena_stats();

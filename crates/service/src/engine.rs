@@ -123,17 +123,19 @@ impl Engine {
         self.inner.cache.stats()
     }
 
-    /// Hash-cons counters of the memo plane's arena (distinct values,
-    /// intern traffic, resident-bytes estimate) — the `/metrics` and
-    /// `perf_snapshot` observable.
+    /// Hash-cons counters (distinct values, intern traffic,
+    /// resident-bytes estimate) of the arena a snapshot of the memo plane
+    /// would write now — the `/metrics` and `perf_snapshot` observable.
+    /// The arena is built from the live memo entries on every call, so the
+    /// cost is O(memo).
     pub fn arena_stats(&self) -> ArenaStats {
         self.inner.cache.arena_stats()
     }
 
     /// Persists the engine's warm state — database, interned symbols, and
-    /// the arena-resident memo plane — to `path` as one versioned binary
-    /// snapshot (temp file + rename; a crash never tears the file).
-    /// Returns the snapshot size in bytes.
+    /// the memo plane, hash-consed into an arena built for this write — to
+    /// `path` as one versioned binary snapshot (temp file + rename; a
+    /// crash never tears the file). Returns the snapshot size in bytes.
     ///
     /// The cache is revalidated against the current database state first,
     /// so the snapshot never carries entries from a database the file

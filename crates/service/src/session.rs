@@ -137,8 +137,8 @@ impl Session {
 
     /// Supplies one more input-output example (a §3.2 user fix). The next
     /// query re-learns over the grown prefix — through the shared memo
-    /// plane, so earlier examples and example-pair intersections replay
-    /// from memory.
+    /// plane, so earlier examples and the intersections of earlier
+    /// prefixes replay from memory.
     pub fn add_example(&mut self, example: Example) {
         self.examples.push(example);
     }

@@ -6,6 +6,9 @@
 //! u64 options-fingerprint · symbol table · database · cache (arena + memos)
 //! ```
 //!
+//! The cache section's arena is built at write time from the live memo
+//! entries; a restore extracts the entries and drops it.
+//!
 //! The fingerprint hashes the engine's *generation-relevant* options
 //! ([`sst_core::LuOptions`], via its `Debug` rendering): cache entries are
 //! only sound across equal generation options, so a restore into an

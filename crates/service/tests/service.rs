@@ -325,6 +325,58 @@ fn unrelated_mutation_keeps_sessions_and_plane_warm() {
     );
 }
 
+/// Chain retention under mutation: a row write to a table the learn never
+/// read keeps both examples and their intersection warm, so the replay is
+/// served from the prefix memo; a write to a table it read evicts the
+/// chain, and the relearn equals a cold engine's.
+#[test]
+fn prefix_chain_survives_unrelated_mutation_and_evicts_on_related() {
+    let engine = Engine::from_tables(vec![
+        comp_table(),
+        Table::new(
+            "Scratch",
+            vec!["K", "V"],
+            vec![vec!["zk1", "zv1"], vec!["zk2", "zv2"]],
+        )
+        .unwrap(),
+    ])
+    .unwrap();
+    let examples = vec![
+        Example::new(vec!["c2"], "Google"),
+        Example::new(vec!["c3"], "Apple"),
+    ];
+    engine.learn(&examples).unwrap();
+    assert_eq!(engine.cache_entries().2, 1, "the learn stored its chain");
+    let before = engine.cache_stats();
+
+    // A write to the table the learn never read.
+    engine.insert_rows(1, vec![vec!["zk3", "zv3"]]).unwrap();
+    engine.learn(&examples).unwrap();
+    let after = engine.cache_stats();
+    assert!(
+        after.intersect_hits > before.intersect_hits,
+        "the chain must survive the unrelated write: {after:?}"
+    );
+    assert_eq!(
+        after.example_misses, before.example_misses,
+        "no example regenerates after an unrelated write"
+    );
+
+    // A write to the table the learn read evicts the chain.
+    engine.update_cell(0, 1, 0, "Microsofty").unwrap();
+    engine.validate_cache();
+    assert_eq!(engine.cache_entries().2, 0, "the chain must be evicted");
+    let relearned = engine.learn(&examples).unwrap();
+    assert!(engine.cache_stats().intersect_misses > after.intersect_misses);
+    let cold = Engine::new(engine.db()).learn(&examples).unwrap();
+    assert_eq!(relearned.count(), cold.count());
+    assert_eq!(relearned.size(), cold.size());
+    let render = |l: &sst_core::LearnedPrograms| -> Vec<String> {
+        l.top_ranked().iter().map(ToString::to_string).collect()
+    };
+    assert_eq!(render(&relearned), render(&cold));
+}
+
 #[test]
 fn failed_learns_do_not_disturb_session_state() {
     // Regression: status()/distinguishing_input() used to lose the
@@ -487,6 +539,10 @@ fn snapshot_restore_round_trips_and_serves_warm_replays() {
     assert!(
         after.example_hits > 0,
         "replay must be memo-served: {after:?}"
+    );
+    assert!(
+        after.intersect_hits > 0,
+        "the snapshot must carry the intersected chain: {after:?}"
     );
     std::fs::remove_file(&path).ok();
 }

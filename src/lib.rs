@@ -22,7 +22,7 @@
 //!   (§6): time, months, ordinals, currencies, phone codes, US states.
 //! * [`benchmarks`] — the reconstructed 50-task evaluation suite (§7) and
 //!   synthetic worst-case workload generators.
-//! * [`arena`] — the hash-consed id-plane under the memo cache: flat
+//! * [`arena`] — the hash-consed snapshot format of the memo cache: flat
 //!   typed stores interning DAG nodes, predicate programs and whole
 //!   program-set structures as dense `u32` ids, plus the versioned
 //!   binary snapshot codec.
@@ -238,25 +238,27 @@
 //!
 //! # The arena id-plane and snapshots
 //!
-//! Underneath the memo cache sits an arena ([`sst_arena`], re-exported as
-//! [`arena`]): every learned structure — position sets, token sequences,
-//! atoms, DAGs, predicate programs, whole program-set structures — is
-//! *hash-consed* into flat typed stores, so structurally equal
-//! subprograms are stored once per engine and named by a dense `u32` id.
-//! Content addressing changes the memo keys: the example-pair
-//! intersection memo is keyed by `(StructId, StructId)` — the *values*
-//! of the operands — instead of `Arc` pointer identity or monotone uids,
-//! so two examples that independently produce equal structures share one
-//! memo line. This is sound precisely because equal ids mean equal
-//! structure: an intersection result is a pure function of its operand
-//! values. Everything observable stays bit-identical (pinned by the
-//! `dag_memo_equivalence`, `service_equivalence` and
+//! The memo cache holds learned structures as `Arc` trees and keys its
+//! prefix memo on the *example chain*: the examples given so far, each
+//! named by its interned inputs and output. A chain of length 1 holds one
+//! example's `GenerateStr_u` result and a chain of length k holds
+//! `d₁ ∩ … ∩ d_k`, so a §3.2 re-learn on a grown prefix replays every
+//! earlier step as a memo hit. Each entry records what its generations
+//! read from the database, and a mutation evicts exactly the chains whose
+//! reads it touches. Everything observable stays bit-identical (pinned by
+//! the `dag_memo_equivalence`, `service_equivalence` and
 //! `snapshot_roundtrip` harnesses).
 //!
-//! The id-plane is also what makes the engine *persistable*: ids are
-//! process-independent names, so
+//! The arena ([`sst_arena`], re-exported as [`arena`]) is the snapshot
+//! format: every structure — position sets, token sequences, atoms, DAGs,
+//! predicate programs, whole program-set structures — is *hash-consed*
+//! into flat typed stores, so structurally equal subprograms are stored
+//! once and named by a dense `u32` id. The arena is built only when a
+//! snapshot is written (or its stats are read), never on the learn path.
+//!
+//! Ids are process-independent names, so
 //! [`Engine::snapshot_to`](service::Engine::snapshot_to) can write the
-//! database, interner symbols and arena-resident memo plane as one
+//! database, interner symbols and memo plane (through that arena) as one
 //! versioned, checksummed binary file, and
 //! [`Engine::restore_from`](service::Engine::restore_from) rebuilds an
 //! engine in a fresh process that serves replayed requests memo-warm.

@@ -1,9 +1,9 @@
 //! Differential harness for the memoized DAG plane.
 //!
 //! The `DagCache` (per-value DAG memo keyed by `(sources_epoch, value)`,
-//! whole-example generation memo, `Arc`-shared predicate/top DAGs) and the
-//! pruned `Intersect_u` are *representation and scheduling* changes: every
-//! observable — program counts, data-structure sizes, convergence
+//! prefix memo keyed by example chains, `Arc`-shared predicate/top DAGs)
+//! and the pruned `Intersect_u` are *representation and scheduling*
+//! changes: every observable — program counts, data-structure sizes, convergence
 //! behavior, top-k ranked outputs — must be bit-identical with the cache
 //! enabled and disabled. This harness replays the full benchmark suite
 //! both ways, including warm-cache relearns (the §3.2 loop is what fills
@@ -119,8 +119,8 @@ fn cache_actually_serves_hits_on_the_suite() {
 
 #[test]
 fn intersection_memo_serves_replays() {
-    // The §3.2 loop replays earlier pairs: the uid-keyed intersection memo
-    // must see traffic on a task that needs ≥ 2 examples.
+    // The §3.2 loop replays earlier prefixes: the chain-keyed prefix memo
+    // must see intersection traffic on a task that needs ≥ 2 examples.
     let task = all_tasks()
         .into_iter()
         .find(|t| {
