@@ -9,15 +9,23 @@
 //! pay per character, and expression-indexed predicates beat constant
 //! predicates because the nested DAG's non-constant programs are cheaper.
 //!
-//! Extraction is a pair of mutually recursive, depth-bounded DPs:
-//! [`LuRankWeights::best`] runs the syntactic shortest-path DP on the top
-//! DAG with source costs supplied by [`best_lookup`], which in turn prices
-//! nested predicate DAGs the same way one level deeper.
+//! Extraction is a pair of mutually recursive, depth-bounded DPs, run as
+//! two passes. The *pricing* pass computes costs only: the syntactic
+//! shortest-path DP on the top DAG takes its source costs from a cost memo
+//! per `(node, depth)`, which prices each node's `Select` conditions by
+//! running the same DP over their nested predicate DAGs one level deeper,
+//! and records only the winning prog and cond indices. The *build* pass
+//! then walks the chosen chain and builds its atoms and the `LookupU`s of
+//! just the nodes they reference (memoized, and recursively only the
+//! winning condition's predicates). [`LuRankWeights::top_k`] prices each
+//! enumerated skeleton with the same cost formulas and reads its lookups
+//! from the same build memo.
 
-use std::collections::HashMap;
+use std::sync::Arc;
 
 use sst_lookup::NodeId;
-use sst_syntactic::{AtomicExpr, RankWeights, StringExpr};
+use sst_syntactic::{AtomicExpr, Dag, RankWeights, StringExpr};
+use sst_tables::IntMap;
 
 use crate::dstruct::{GenLookupU, SemDStruct};
 use crate::language::{LookupU, PredRhsU, PredicateU, SemExpr};
@@ -56,65 +64,42 @@ pub struct RankedSem {
     pub expr: SemExpr,
 }
 
-type LookupMemo = HashMap<(u32, usize), Option<(u64, LookupU)>>;
-
 impl LuRankWeights {
     /// Extracts the top-ranked program with lookup depth ≤ `depth`.
     pub fn best(&self, d: &SemDStruct, depth: usize) -> Option<RankedSem> {
         let top = d.top.as_ref()?;
-        let mut memo: LookupMemo = HashMap::new();
-        let (cost, skeleton) = self.syntactic.best_program(top, &mut |n: &NodeId| {
-            best_lookup(self, d, *n, depth, &mut memo).map(|(c, _)| c)
-        })?;
-        let expr = self.concretize(d, skeleton, depth, &mut memo)?;
+        let mut ranker = Ranker::new(self, d);
+        let (cost, skeleton) = self
+            .syntactic
+            .best_program(top, &mut |n: &NodeId| ranker.lookup_cost(*n, depth))?;
+        let expr = ranker.concretize(skeleton, depth)?;
         Some(RankedSem { cost, expr })
     }
 
     /// Extracts up to `k` *behaviorally diverse* top programs, ascending
-    /// cost. Skeletons are enumerated from the top DAG, concretized with
-    /// their best lookup choices, and collapsed by signature (atom kinds +
-    /// sources): position-expression variants of the same extraction
-    /// almost always behave identically, and the §3.2 interaction model
-    /// wants programs that can actually *disagree* on new inputs.
+    /// cost. Skeletons are enumerated from the top DAG, priced atom by atom,
+    /// concretized with their best lookup choices, and collapsed by
+    /// signature (atom kinds + sources): position-expression variants of
+    /// the same extraction almost always behave identically, and the §3.2
+    /// interaction model wants programs that can actually *disagree* on new
+    /// inputs.
     pub fn top_k(&self, d: &SemDStruct, depth: usize, k: usize) -> Vec<RankedSem> {
         let Some(top) = d.top.as_ref() else {
             return Vec::new();
         };
-        let mut memo: LookupMemo = HashMap::new();
+        let mut ranker = Ranker::new(self, d);
         let mut out: Vec<(Vec<SigAtom>, RankedSem)> = Vec::new();
         for skeleton in top.enumerate_programs(k.saturating_mul(16).max(64)) {
-            let mut cost = 0u64;
-            let mut priced = true;
-            for atom in &skeleton.atoms {
-                let atom_cost = match atom {
-                    AtomicExpr::ConstStr(_) | AtomicExpr::Whole(_) | AtomicExpr::SubStr { .. } => {
-                        // Reuse the syntactic pricing through a singleton set.
-                        let aset = match atom {
-                            AtomicExpr::ConstStr(s) => sst_syntactic::AtomSet::ConstStr(s.clone()),
-                            AtomicExpr::Whole(n) => sst_syntactic::AtomSet::Whole(*n),
-                            AtomicExpr::SubStr { src, p1, p2 } => sst_syntactic::AtomSet::SubStr {
-                                src: *src,
-                                p1: std::sync::Arc::new(vec![pos_to_set(p1)]),
-                                p2: std::sync::Arc::new(vec![pos_to_set(p2)]),
-                            },
-                        };
-                        self.syntactic.best_atom(&aset, &mut |n: &NodeId| {
-                            best_lookup(self, d, *n, depth, &mut memo).map(|(c, _)| c)
-                        })
-                    }
-                };
-                match atom_cost {
-                    Some((c, _)) => cost += c + self.syntactic.per_atom,
-                    None => {
-                        priced = false;
-                        break;
-                    }
-                }
-            }
-            if !priced {
+            let cost = skeleton.atoms.iter().try_fold(0u64, |cost, atom| {
+                let atom_cost = self
+                    .syntactic
+                    .atom_expr_cost(atom, &mut |n: &NodeId| ranker.lookup_cost(*n, depth))?;
+                Some(cost + atom_cost + self.syntactic.per_atom)
+            });
+            let Some(cost) = cost else {
                 continue;
-            }
-            if let Some(expr) = self.concretize(d, skeleton, depth, &mut memo) {
+            };
+            if let Some(expr) = ranker.concretize(skeleton, depth) {
                 let sig = signature(&expr);
                 match out.iter_mut().find(|(s, _)| *s == sig) {
                     Some((_, existing)) if cost < existing.cost => {
@@ -129,30 +114,6 @@ impl LuRankWeights {
         out.sort_by_key(|r| r.cost);
         out.truncate(k);
         out
-    }
-
-    /// Replaces node handles in a skeleton with their best lookup programs.
-    fn concretize(
-        &self,
-        d: &SemDStruct,
-        skeleton: StringExpr<NodeId>,
-        depth: usize,
-        memo: &mut LookupMemo,
-    ) -> Option<SemExpr> {
-        let mut atoms = Vec::with_capacity(skeleton.atoms.len());
-        for atom in skeleton.atoms {
-            let converted = match atom {
-                AtomicExpr::ConstStr(s) => AtomicExpr::ConstStr(s),
-                AtomicExpr::Whole(n) => AtomicExpr::Whole(best_lookup(self, d, n, depth, memo)?.1),
-                AtomicExpr::SubStr { src, p1, p2 } => AtomicExpr::SubStr {
-                    src: best_lookup(self, d, src, depth, memo)?.1,
-                    p1,
-                    p2,
-                },
-            };
-            atoms.push(converted);
-        }
-        Some(StringExpr { atoms })
     }
 }
 
@@ -176,89 +137,146 @@ fn signature(e: &SemExpr) -> Vec<SigAtom> {
         .collect()
 }
 
-fn pos_to_set(p: &sst_syntactic::PosExpr) -> sst_syntactic::PosSet {
-    match p {
-        sst_syntactic::PosExpr::CPos(k) => sst_syntactic::PosSet::CPos(*k),
-        sst_syntactic::PosExpr::Pos { r1, r2, c } => sst_syntactic::PosSet::Pos {
-            r1s: vec![r1.clone()],
-            r2s: vec![r2.clone()],
-            cs: vec![*c],
-        },
-    }
+/// The chosen program of a node: indices into its `progs` and, for a
+/// `Select`, into its `conds`.
+type Pick = (usize, usize);
+
+/// Both passes of `Lu` extraction over one `Du`, with their memos.
+struct Ranker<'a> {
+    w: &'a LuRankWeights,
+    d: &'a SemDStruct,
+    /// Pricing memo: per `(node, depth)`, the best cost and its pick.
+    costs: IntMap<(u32, usize), Option<(u64, Pick)>>,
+    /// Build memo: the `LookupU` of each `(node, depth)` a chosen program
+    /// references.
+    built: IntMap<(u32, usize), LookupU>,
+    /// Pricing memo for nested predicate DAGs, keyed by allocation.
+    dag_costs: IntMap<(*const Dag<NodeId>, usize), Option<u64>>,
 }
 
-/// Best concrete lookup program at a node with `Select`-depth ≤ `depth`.
-pub fn best_lookup(
-    w: &LuRankWeights,
-    d: &SemDStruct,
-    node: NodeId,
-    depth: usize,
-    memo: &mut LookupMemo,
-) -> Option<(u64, LookupU)> {
-    if let Some(hit) = memo.get(&(node.0, depth)) {
-        return hit.clone();
+impl<'a> Ranker<'a> {
+    fn new(w: &'a LuRankWeights, d: &'a SemDStruct) -> Self {
+        Ranker {
+            w,
+            d,
+            costs: IntMap::default(),
+            built: IntMap::default(),
+            dag_costs: IntMap::default(),
+        }
     }
-    memo.insert((node.0, depth), None);
-    let mut best: Option<(u64, LookupU)> = None;
-    for prog in &d.node(node).progs {
-        let candidate = match prog {
-            GenLookupU::Var(v) => Some((w.var, LookupU::Var(*v))),
-            GenLookupU::Select { col, table, conds } => {
-                if depth == 0 {
-                    None
-                } else {
-                    let mut best_sel: Option<(u64, LookupU)> = None;
-                    for cond in conds.iter() {
-                        let mut cost = w.select + w.pred * cond.preds.len() as u64;
-                        let mut preds = Vec::with_capacity(cond.preds.len());
-                        let mut viable = true;
-                        for pred in &cond.preds {
-                            let sub = w.syntactic.best_program(&pred.dag, &mut |n: &NodeId| {
-                                best_lookup(w, d, *n, depth - 1, memo).map(|(c, _)| c)
-                            });
-                            let Some((pc, skeleton)) = sub else {
-                                viable = false;
-                                break;
-                            };
-                            let Some(expr) = w.concretize(d, skeleton, depth - 1, memo) else {
-                                viable = false;
-                                break;
-                            };
-                            cost += pc;
-                            // Render pure constants in Lt's `C = s` form.
-                            let rhs = match expr.atoms.as_slice() {
-                                [AtomicExpr::ConstStr(s)] => PredRhsU::Const(s.clone()),
-                                _ => PredRhsU::Expr(expr),
-                            };
-                            preds.push(PredicateU { col: pred.col, rhs });
-                        }
-                        if !viable || preds.is_empty() {
+
+    /// Pricing pass: the cost of the best lookup program at a node with
+    /// `Select`-depth ≤ `depth`, building nothing. The first strictly
+    /// cheaper candidate wins, in prog order, then cond order. Nested
+    /// predicate DAGs are priced one level deeper; depth strictly falls, so
+    /// the recursion cannot revisit a key in progress.
+    fn lookup_cost(&mut self, node: NodeId, depth: usize) -> Option<u64> {
+        if let Some(hit) = self.costs.get(&(node.0, depth)) {
+            return hit.map(|(cost, _)| cost);
+        }
+        let (w, d) = (self.w, self.d);
+        let mut best: Option<(u64, Pick)> = None;
+        for (p, prog) in d.node(node).progs.iter().enumerate() {
+            match prog {
+                GenLookupU::Var(_) => {
+                    if best.is_none_or(|(c, _)| w.var < c) {
+                        best = Some((w.var, (p, 0)));
+                    }
+                }
+                GenLookupU::Select { conds, .. } if depth > 0 => {
+                    'conds: for (c, cond) in conds.iter().enumerate() {
+                        if cond.preds.is_empty() {
                             continue;
                         }
-                        let candidate = (
-                            cost,
-                            LookupU::Select {
-                                col: *col,
-                                table: *table,
-                                cond: preds,
-                            },
-                        );
-                        if best_sel.as_ref().is_none_or(|(c, _)| candidate.0 < *c) {
-                            best_sel = Some(candidate);
+                        let mut cost = w.select + w.pred * cond.preds.len() as u64;
+                        for pred in &cond.preds {
+                            let Some(pc) = self.dag_cost(&pred.dag, depth - 1) else {
+                                continue 'conds;
+                            };
+                            cost += pc;
+                        }
+                        if best.is_none_or(|(bc, _)| cost < bc) {
+                            best = Some((cost, (p, c)));
                         }
                     }
-                    best_sel
+                }
+                GenLookupU::Select { .. } => {}
+            }
+        }
+        self.costs.insert((node.0, depth), best);
+        best.map(|(cost, _)| cost)
+    }
+
+    /// Cost of a nested predicate DAG's best program at `depth`. Predicate
+    /// DAGs are `Arc`-shared across conditions, so the cost is memoized on
+    /// the allocation.
+    fn dag_cost(&mut self, dag: &'a Arc<Dag<NodeId>>, depth: usize) -> Option<u64> {
+        let key = (Arc::as_ptr(dag), depth);
+        if let Some(&hit) = self.dag_costs.get(&key) {
+            return hit;
+        }
+        let w = self.w;
+        let cost = w
+            .syntactic
+            .program_cost(dag, &mut |n: &NodeId| self.lookup_cost(*n, depth));
+        self.dag_costs.insert(key, cost);
+        cost
+    }
+
+    /// Build pass: the chosen lookup program at a node, built once and
+    /// memoized. Only the winning cond's predicate programs are built.
+    fn lookup(&mut self, node: NodeId, depth: usize) -> Option<LookupU> {
+        if let Some(hit) = self.built.get(&(node.0, depth)) {
+            return Some(hit.clone());
+        }
+        self.lookup_cost(node, depth)?;
+        let (_, (p, c)) = self.costs[&(node.0, depth)]?;
+        let (w, d) = (self.w, self.d);
+        let built = match &d.node(node).progs[p] {
+            GenLookupU::Var(v) => LookupU::Var(*v),
+            GenLookupU::Select { col, table, conds } => {
+                let mut cond = Vec::with_capacity(conds[c].preds.len());
+                for pred in &conds[c].preds {
+                    let (_, skeleton) =
+                        w.syntactic.best_program(&pred.dag, &mut |n: &NodeId| {
+                            self.lookup_cost(*n, depth - 1)
+                        })?;
+                    let expr = self.concretize(skeleton, depth - 1)?;
+                    // Render pure constants in Lt's `C = s` form.
+                    let rhs = match expr.atoms.as_slice() {
+                        [AtomicExpr::ConstStr(s)] => PredRhsU::Const(s.clone()),
+                        _ => PredRhsU::Expr(expr),
+                    };
+                    cond.push(PredicateU { col: pred.col, rhs });
+                }
+                LookupU::Select {
+                    col: *col,
+                    table: *table,
+                    cond,
                 }
             }
         };
-        if let Some(c) = candidate {
-            if best.as_ref().is_none_or(|(bc, _)| c.0 < *bc) {
-                best = Some(c);
-            }
-        }
+        self.built.insert((node.0, depth), built.clone());
+        Some(built)
     }
-    memo.insert((node.0, depth), best.clone());
-    best
+
+    /// Replaces node handles in a skeleton with their chosen lookup
+    /// programs.
+    fn concretize(&mut self, skeleton: StringExpr<NodeId>, depth: usize) -> Option<SemExpr> {
+        let mut atoms = Vec::with_capacity(skeleton.atoms.len());
+        for atom in skeleton.atoms {
+            atoms.push(match atom {
+                AtomicExpr::ConstStr(s) => AtomicExpr::ConstStr(s),
+                AtomicExpr::Whole(n) => AtomicExpr::Whole(self.lookup(n, depth)?),
+                AtomicExpr::SubStr { src, p1, p2 } => AtomicExpr::SubStr {
+                    src: self.lookup(src, depth)?,
+                    p1,
+                    p2,
+                },
+            });
+        }
+        Some(StringExpr { atoms })
+    }
 }
 
 #[cfg(test)]

@@ -64,29 +64,30 @@ impl PosSet {
         }
     }
 
+    /// The concrete position expressions represented, lazily, in
+    /// `r1 × r2 × c` order.
+    fn positions(&self) -> impl Iterator<Item = PosExpr> + '_ {
+        let (cpos, pos) = match self {
+            PosSet::CPos(k) => (Some(PosExpr::CPos(*k)), None),
+            PosSet::Pos { r1s, r2s, cs } => (None, Some((r1s, r2s, cs))),
+        };
+        let pos = pos.into_iter().flat_map(|(r1s, r2s, cs)| {
+            r1s.iter().flat_map(move |r1| {
+                r2s.iter().flat_map(move |r2| {
+                    cs.iter().map(move |&c| PosExpr::Pos {
+                        r1: r1.clone(),
+                        r2: r2.clone(),
+                        c,
+                    })
+                })
+            })
+        });
+        cpos.into_iter().chain(pos)
+    }
+
     /// Enumerates up to `limit` concrete position expressions.
     pub fn enumerate(&self, limit: usize) -> Vec<PosExpr> {
-        match self {
-            PosSet::CPos(k) => vec![PosExpr::CPos(*k)],
-            PosSet::Pos { r1s, r2s, cs } => {
-                let mut out = Vec::new();
-                'outer: for r1 in r1s {
-                    for r2 in r2s {
-                        for &c in cs {
-                            if out.len() >= limit {
-                                break 'outer;
-                            }
-                            out.push(PosExpr::Pos {
-                                r1: r1.clone(),
-                                r2: r2.clone(),
-                                c,
-                            });
-                        }
-                    }
-                }
-                out
-            }
-        }
+        self.positions().take(limit).collect()
     }
 }
 
@@ -335,12 +336,11 @@ impl<S> Dag<S> {
         // Longest edges first: full-span atoms (whole-source references)
         // surface before single-character decompositions, which matters
         // when the enumeration limit is small.
-        type EdgeList<S> = Vec<((u32, u32), Vec<AtomSet<S>>)>;
-        let mut nexts: EdgeList<S> = self.outgoing(node).map(|(k, v)| (*k, v.clone())).collect();
-        nexts.sort_by_key(|e| std::cmp::Reverse(e.0 .1));
-        for ((_, next), atoms) in nexts {
-            for aset in &atoms {
-                for atom in enumerate_atoms(aset, limit.saturating_sub(out.len())) {
+        let mut nexts: Vec<_> = self.outgoing(node).collect();
+        nexts.sort_by_key(|&(&(_, next), _)| std::cmp::Reverse(next));
+        for (&(_, next), atoms) in nexts {
+            for aset in atoms {
+                for atom in enumerate_atoms(aset).take(limit.saturating_sub(out.len())) {
                     if out.len() >= limit {
                         return;
                     }
@@ -353,27 +353,22 @@ impl<S> Dag<S> {
     }
 }
 
-fn enumerate_atoms<S: Clone>(aset: &AtomSet<S>, limit: usize) -> Vec<AtomicExpr<S>> {
+/// The concrete atoms of an atom set, lazily: start positions outermost,
+/// then end positions, each in list and then [`PosSet::positions`] order.
+fn enumerate_atoms<S: Clone>(aset: &AtomSet<S>) -> Box<dyn Iterator<Item = AtomicExpr<S>> + '_> {
     match aset {
-        AtomSet::ConstStr(s) => vec![AtomicExpr::ConstStr(s.clone())],
-        AtomSet::Whole(s) => vec![AtomicExpr::Whole(s.clone())],
+        AtomSet::ConstStr(s) => Box::new(std::iter::once(AtomicExpr::ConstStr(s.clone()))),
+        AtomSet::Whole(s) => Box::new(std::iter::once(AtomicExpr::Whole(s.clone()))),
         AtomSet::SubStr { src, p1, p2 } => {
-            let mut out = Vec::new();
-            let p1s: Vec<PosExpr> = p1.iter().flat_map(|p| p.enumerate(limit)).collect();
-            let p2s: Vec<PosExpr> = p2.iter().flat_map(|p| p.enumerate(limit)).collect();
-            'outer: for a in &p1s {
-                for b in &p2s {
-                    if out.len() >= limit {
-                        break 'outer;
-                    }
-                    out.push(AtomicExpr::SubStr {
+            Box::new(p1.iter().flat_map(PosSet::positions).flat_map(move |a| {
+                p2.iter()
+                    .flat_map(PosSet::positions)
+                    .map(move |b| AtomicExpr::SubStr {
                         src: src.clone(),
                         p1: a.clone(),
-                        p2: b.clone(),
-                    });
-                }
-            }
-            out
+                        p2: b,
+                    })
+            }))
         }
     }
 }

@@ -6,6 +6,15 @@
 //! score among its atoms, and atom scores only look at un-shared attributes.
 //! That makes top-1 extraction a shortest-path DP over the DAG.
 //!
+//! Extraction runs in two passes. The *pricing* pass computes costs only:
+//! each node records its cost to the target and the index of its chosen
+//! edge, atom set and position alternatives, and nothing is cloned. The
+//! *build* pass walks the chosen chain and materializes only those atoms.
+//! [`RankWeights::program_cost`] stops after pricing, which is all a caller
+//! that only compares costs (a nested predicate DAG that may lose) needs.
+//! Each cost formula is written once and shared by the set pricing and the
+//! concrete-expression pricing ([`RankWeights::atom_expr_cost`]).
+//!
 //! The concrete weights implement the paper's stated preferences:
 //! * fewer concatenation arguments (a fixed per-atom charge),
 //! * substring/source atoms over constants (generalization),
@@ -14,6 +23,10 @@
 //!   edges `CPos(0)`/`CPos(-1)` are as robust as anchors,
 //! * among `pos` expressions, shorter token sequences and smaller
 //!   occurrence indices.
+
+use std::sync::Arc;
+
+use sst_tables::IntMap;
 
 use crate::dag::{AtomSet, Dag, PosSet};
 use crate::language::{AtomicExpr, PosExpr, RegexSeq, StringExpr};
@@ -66,98 +79,258 @@ impl Default for RankWeights {
     }
 }
 
+/// The pricing pass's choice inside one position set: indices into its
+/// `r1s`, `r2s` and `cs` (all 0 for `CPos`).
+#[derive(Debug, Clone, Copy, Default)]
+struct PosPick {
+    r1: usize,
+    r2: usize,
+    c: usize,
+}
+
+/// The pricing pass's choice inside one atom set: for a `SubStr`, the
+/// chosen start and end position sets and the picks inside them.
+#[derive(Debug, Clone, Copy, Default)]
+struct AtomPick {
+    p1: (usize, PosPick),
+    p2: (usize, PosPick),
+}
+
+/// One node of the program DP: cost to the target, and the chosen edge
+/// (next node, atom set, pick inside it), which is `None` at the target.
+type Step<'d, S> = (u64, Option<(u32, &'d AtomSet<S>, AtomPick)>);
+
+/// Memoized position-list prices, keyed by the list's allocation (valid
+/// while the DAG that holds the lists is borrowed).
+type ListPrices = IntMap<*const Vec<PosSet>, Option<(u64, (usize, PosPick))>>;
+
 impl RankWeights {
-    /// Cost and best concrete expression of a position set.
-    pub fn best_pos(&self, pset: &PosSet) -> (u64, PosExpr) {
+    fn cpos_cost(&self, k: i32) -> u64 {
+        if k == 0 || k == -1 {
+            self.cpos_edge
+        } else {
+            self.cpos_interior
+        }
+    }
+
+    /// ε is fine but a 1-token context is the most readable; extra tokens
+    /// cost more.
+    fn seq_cost(&self, r: &RegexSeq) -> u64 {
+        (r.0.len() as u64).saturating_sub(1) * self.pos_token
+    }
+
+    fn pos_parts_cost(&self, r1: &RegexSeq, r2: &RegexSeq, c: i32) -> u64 {
+        let far = if c.unsigned_abs() > 1 {
+            self.pos_far_count
+        } else {
+            0
+        };
+        self.pos + self.seq_cost(r1) + self.seq_cost(r2) + far
+    }
+
+    fn const_cost(&self, s: &str) -> u64 {
+        let chars = s
+            .chars()
+            .map(|c| {
+                if c.is_ascii_alphanumeric() {
+                    self.const_char_alnum
+                } else {
+                    self.const_char_other
+                }
+            })
+            .sum::<u64>();
+        self.const_str + chars
+    }
+
+    fn whole_cost(&self, src: u64) -> u64 {
+        self.whole + src
+    }
+
+    fn substr_cost(&self, src: u64, p1: u64, p2: u64) -> u64 {
+        self.substr + src + p1 + p2
+    }
+
+    /// Prices a position set: the cost of its best concrete position and
+    /// where that position sits in the set. Ties between contexts break
+    /// toward the smaller `RegexSeq`; among counts, the smallest `|c|`
+    /// wins, positive first.
+    fn pos_cost(&self, pset: &PosSet) -> (u64, PosPick) {
         match pset {
-            PosSet::CPos(k) => {
-                let cost = if *k == 0 || *k == -1 {
-                    self.cpos_edge
-                } else {
-                    self.cpos_interior
-                };
-                (cost, PosExpr::CPos(*k))
-            }
+            PosSet::CPos(k) => (self.cpos_cost(*k), PosPick::default()),
             PosSet::Pos { r1s, r2s, cs } => {
-                let pick_seq = |seqs: &[RegexSeq]| -> (u64, RegexSeq) {
+                let pick_seq = |seqs: &[RegexSeq]| -> usize {
                     seqs.iter()
-                        .map(|r| {
-                            let toks = r.0.len() as u64;
-                            // ε is fine but a 1-token context is the most
-                            // readable; extra tokens cost more.
-                            let cost = toks.saturating_sub(1) * self.pos_token;
-                            (cost, r.clone())
-                        })
-                        .min_by(|a, b| a.0.cmp(&b.0).then_with(|| a.1.cmp(&b.1)))
+                        .enumerate()
+                        .map(|(i, r)| (self.seq_cost(r), r, i))
+                        .min_by(|a, b| a.0.cmp(&b.0).then_with(|| a.1.cmp(b.1)))
                         .expect("non-empty seq list")
+                        .2
                 };
-                let (c1, r1) = pick_seq(r1s);
-                let (c2, r2) = pick_seq(r2s);
-                let &c = cs
+                let (r1, r2) = (pick_seq(r1s), pick_seq(r2s));
+                let (c, _) = cs
                     .iter()
-                    .min_by_key(|c| (c.unsigned_abs(), c.is_negative()))
+                    .enumerate()
+                    .min_by_key(|(_, c)| (c.unsigned_abs(), c.is_negative()))
                     .expect("non-empty count list");
-                let far = if c.unsigned_abs() > 1 {
-                    self.pos_far_count
-                } else {
-                    0
-                };
-                (self.pos + c1 + c2 + far, PosExpr::Pos { r1, r2, c })
+                let cost = self.pos_parts_cost(&r1s[r1], &r2s[r2], cs[c]);
+                (cost, PosPick { r1, r2, c })
             }
         }
     }
 
-    /// Cost and best concrete position over a list of alternatives.
-    pub fn best_pos_of(&self, psets: &[PosSet]) -> Option<(u64, PosExpr)> {
+    /// Prices a list of position alternatives: the first cheapest set wins.
+    fn pos_list_cost(&self, psets: &[PosSet]) -> Option<(u64, (usize, PosPick))> {
         psets
             .iter()
-            .map(|p| self.best_pos(p))
-            .min_by_key(|(c, _)| *c)
+            .enumerate()
+            .map(|(i, p)| {
+                let (cost, pick) = self.pos_cost(p);
+                (cost, (i, pick))
+            })
+            .min_by_key(|(cost, _)| *cost)
+    }
+
+    /// Prices an atom set. `src_cost` prices a source handle (0 for
+    /// variables; lookup depth for `Lu` nodes) and may veto it with `None`.
+    /// Position lists are `Arc`-shared by every atom that starts or ends at
+    /// the same boundary, so their prices are memoized in `lists` by
+    /// allocation.
+    fn atom_cost<S>(
+        &self,
+        aset: &AtomSet<S>,
+        src_cost: &mut impl FnMut(&S) -> Option<u64>,
+        lists: &mut ListPrices,
+    ) -> Option<(u64, AtomPick)> {
+        match aset {
+            AtomSet::ConstStr(s) => Some((self.const_cost(s), AtomPick::default())),
+            AtomSet::Whole(src) => Some((self.whole_cost(src_cost(src)?), AtomPick::default())),
+            AtomSet::SubStr { src, p1, p2 } => {
+                let c = src_cost(src)?;
+                let mut list = |ps: &Arc<Vec<PosSet>>| {
+                    *lists
+                        .entry(Arc::as_ptr(ps))
+                        .or_insert_with(|| self.pos_list_cost(ps))
+                };
+                let (c1, p1) = list(p1)?;
+                let (c2, p2) = list(p2)?;
+                Some((self.substr_cost(c, c1, c2), AtomPick { p1, p2 }))
+            }
+        }
+    }
+
+    /// Cost of one concrete position, by the same formula [`Self::pos_cost`]
+    /// minimizes.
+    fn pos_expr_cost(&self, p: &PosExpr) -> u64 {
+        match p {
+            PosExpr::CPos(k) => self.cpos_cost(*k),
+            PosExpr::Pos { r1, r2, c } => self.pos_parts_cost(r1, r2, *c),
+        }
+    }
+
+    /// Cost of one concrete atom, by the same formula [`Self::best_atom`]
+    /// minimizes; `None` when `src_cost` vetoes its source.
+    pub fn atom_expr_cost<S>(
+        &self,
+        atom: &AtomicExpr<S>,
+        src_cost: &mut impl FnMut(&S) -> Option<u64>,
+    ) -> Option<u64> {
+        Some(match atom {
+            AtomicExpr::ConstStr(s) => self.const_cost(s),
+            AtomicExpr::Whole(src) => self.whole_cost(src_cost(src)?),
+            AtomicExpr::SubStr { src, p1, p2 } => self.substr_cost(
+                src_cost(src)?,
+                self.pos_expr_cost(p1),
+                self.pos_expr_cost(p2),
+            ),
+        })
+    }
+
+    fn build_pos(pset: &PosSet, pick: PosPick) -> PosExpr {
+        match pset {
+            PosSet::CPos(k) => PosExpr::CPos(*k),
+            PosSet::Pos { r1s, r2s, cs } => PosExpr::Pos {
+                r1: r1s[pick.r1].clone(),
+                r2: r2s[pick.r2].clone(),
+                c: cs[pick.c],
+            },
+        }
+    }
+
+    fn build_atom<S: Clone>(aset: &AtomSet<S>, pick: AtomPick) -> AtomicExpr<S> {
+        match aset {
+            AtomSet::ConstStr(s) => AtomicExpr::ConstStr(s.clone()),
+            AtomSet::Whole(src) => AtomicExpr::Whole(src.clone()),
+            AtomSet::SubStr { src, p1, p2 } => AtomicExpr::SubStr {
+                src: src.clone(),
+                p1: Self::build_pos(&p1[pick.p1.0], pick.p1.1),
+                p2: Self::build_pos(&p2[pick.p2.0], pick.p2.1),
+            },
+        }
+    }
+
+    /// Cost and best concrete expression of a position set.
+    pub fn best_pos(&self, pset: &PosSet) -> (u64, PosExpr) {
+        let (cost, pick) = self.pos_cost(pset);
+        (cost, Self::build_pos(pset, pick))
     }
 
     /// Cost and best concrete atom of an atom set. `src_cost` prices a
-    /// source handle (0 for variables; lookup depth for `Lu` nodes) and may
-    /// veto it with `None`.
+    /// source handle and may veto it with `None`.
     pub fn best_atom<S: Clone>(
         &self,
         aset: &AtomSet<S>,
         src_cost: &mut impl FnMut(&S) -> Option<u64>,
     ) -> Option<(u64, AtomicExpr<S>)> {
-        match aset {
-            AtomSet::ConstStr(s) => {
-                let chars = s
-                    .chars()
-                    .map(|c| {
-                        if c.is_ascii_alphanumeric() {
-                            self.const_char_alnum
-                        } else {
-                            self.const_char_other
-                        }
-                    })
-                    .sum::<u64>();
-                Some((self.const_str + chars, AtomicExpr::ConstStr(s.clone())))
-            }
-            AtomSet::Whole(src) => {
-                let c = src_cost(src)?;
-                Some((self.whole + c, AtomicExpr::Whole(src.clone())))
-            }
-            AtomSet::SubStr { src, p1, p2 } => {
-                let c = src_cost(src)?;
-                let (c1, p1) = self.best_pos_of(p1)?;
-                let (c2, p2) = self.best_pos_of(p2)?;
-                Some((
-                    self.substr + c + c1 + c2,
-                    AtomicExpr::SubStr {
-                        src: src.clone(),
-                        p1,
-                        p2,
-                    },
-                ))
-            }
-        }
+        let (cost, pick) = self.atom_cost(aset, src_cost, &mut ListPrices::default())?;
+        Some((cost, Self::build_atom(aset, pick)))
     }
 
-    /// Extracts the minimum-cost program from a DAG via a backward DP.
+    /// The pricing pass: a backward shortest-path DP that records, per
+    /// node, the cost to the target and the chosen edge. The first
+    /// strictly cheaper candidate wins, in edge order, then atom order.
+    fn price_program<'d, S>(
+        &self,
+        dag: &'d Dag<S>,
+        src_cost: &mut impl FnMut(&S) -> Option<u64>,
+    ) -> Vec<Option<Step<'d, S>>> {
+        let mut best: Vec<Option<Step<'d, S>>> = vec![None; dag.num_nodes as usize];
+        best[dag.target as usize] = Some((0, None));
+        let mut lists = ListPrices::default();
+        for node in (0..dag.num_nodes).rev() {
+            if node == dag.target {
+                continue;
+            }
+            let mut chosen: Option<Step<'d, S>> = None;
+            for (&(_, next), atoms) in dag.outgoing(node) {
+                let Some((next_cost, _)) = best[next as usize] else {
+                    continue;
+                };
+                for aset in atoms {
+                    if let Some((atom_cost, pick)) = self.atom_cost(aset, src_cost, &mut lists) {
+                        let total = atom_cost + self.per_atom + next_cost;
+                        if chosen.is_none_or(|(c, _)| total < c) {
+                            chosen = Some((total, Some((next, aset, pick))));
+                        }
+                    }
+                }
+            }
+            best[node as usize] = chosen;
+        }
+        best
+    }
+
+    /// Cost of the minimum-cost program of a DAG, without building it;
+    /// `None` when the DAG is empty or every path is vetoed.
+    pub fn program_cost<S>(
+        &self,
+        dag: &Dag<S>,
+        src_cost: &mut impl FnMut(&S) -> Option<u64>,
+    ) -> Option<u64> {
+        self.price_program(dag, src_cost)[dag.source as usize].map(|(cost, _)| cost)
+    }
+
+    /// Extracts the minimum-cost program from a DAG: the pricing pass, then
+    /// a walk down the chosen chain that builds only its atoms.
     ///
     /// Returns the cost and the program, or `None` when the DAG is empty
     /// (or every atom's source is vetoed by `src_cost`).
@@ -166,40 +339,14 @@ impl RankWeights {
         dag: &Dag<S>,
         src_cost: &mut impl FnMut(&S) -> Option<u64>,
     ) -> Option<(u64, StringExpr<S>)> {
-        let n = dag.num_nodes as usize;
-        // best[v] = min cost from v to target, with chosen (next, atom).
-        type Choice<S> = Option<(u64, Option<(u32, AtomicExpr<S>)>)>;
-        let mut best: Vec<Choice<S>> = vec![None; n];
-        best[dag.target as usize] = Some((0, None));
-        for node in (0..dag.num_nodes).rev() {
-            if node == dag.target {
-                continue;
-            }
-            let mut chosen: Choice<S> = None;
-            for (&(_, next), atoms) in dag.outgoing(node) {
-                let Some((next_cost, _)) = &best[next as usize] else {
-                    continue;
-                };
-                let next_cost = *next_cost;
-                for aset in atoms {
-                    if let Some((atom_cost, atom)) = self.best_atom(aset, src_cost) {
-                        let total = atom_cost + self.per_atom + next_cost;
-                        if chosen.as_ref().is_none_or(|(c, _)| total < *c) {
-                            chosen = Some((total, Some((next, atom))));
-                        }
-                    }
-                }
-            }
-            best[node as usize] = chosen;
-        }
-        let (cost, _) = best[dag.source as usize].clone()?;
-        // Walk the chosen chain.
+        let best = self.price_program(dag, src_cost);
+        let (cost, _) = best[dag.source as usize]?;
         let mut atoms = Vec::new();
         let mut node = dag.source;
         while node != dag.target {
-            let (_, step) = best[node as usize].clone()?;
-            let (next, atom) = step?;
-            atoms.push(atom);
+            let (_, step) = best[node as usize]?;
+            let (next, aset, pick) = step?;
+            atoms.push(Self::build_atom(aset, pick));
             node = next;
         }
         Some((cost, StringExpr { atoms }))
@@ -212,6 +359,7 @@ mod tests {
     use crate::generate::{generate_dag, GenOptions};
     use crate::language::Var;
     use crate::tokens::Token;
+    use proptest::prelude::*;
 
     fn w() -> RankWeights {
         RankWeights::default()
@@ -298,6 +446,99 @@ mod tests {
         // Veto all sources: only the constant remains.
         let (_, prog) = w().best_program(&dag, &mut |_: &Var| None).unwrap();
         assert_eq!(prog.to_string(), "ConstStr(\"abc\")");
+    }
+
+    /// Two paths of equal cost to the target: `v2 v3` through node 1 (the
+    /// first edge out of node 0) and `v1` straight to node 2 (the second).
+    /// Edge (0, 1) also carries two equally priced atoms.
+    #[test]
+    fn equal_cost_ties_go_to_the_first_edge_and_atom() {
+        let mut edges = std::collections::BTreeMap::new();
+        edges.insert((0, 1), vec![AtomSet::Whole(Var(1)), AtomSet::Whole(Var(3))]);
+        edges.insert((0, 2), vec![AtomSet::Whole(Var(0))]);
+        edges.insert((1, 2), vec![AtomSet::Whole(Var(2))]);
+        let dag = Dag {
+            num_nodes: 3,
+            source: 0,
+            target: 2,
+            edges,
+        };
+        let w = w();
+        // Path through node 1: two atoms at cost whole + per_atom each.
+        let two_atoms = 2 * (w.whole + w.per_atom);
+        let mut src_cost = |v: &Var| {
+            Some(if v.0 == 0 {
+                two_atoms - w.whole - w.per_atom
+            } else {
+                0
+            })
+        };
+        let (cost, prog) = w.best_program(&dag, &mut src_cost).unwrap();
+        assert_eq!(cost, two_atoms);
+        assert_eq!(prog.to_string(), "Concatenate(v2, v3)");
+        assert_eq!(w.program_cost(&dag, &mut src_cost), Some(cost));
+    }
+
+    /// Prices variables by index and vetoes `v3`, so source costs vary and
+    /// some atoms drop out.
+    fn graded_cost(v: &Var) -> Option<u64> {
+        (v.0 < 2).then_some(u64::from(v.0) * 3)
+    }
+
+    /// The pricing pass and the build pass agree on every position set,
+    /// atom set and whole program of a DAG, and the concrete-expression
+    /// pricing re-derives each built expression's cost.
+    fn passes_agree(dag: &Dag<Var>) -> Result<(), proptest::TestCaseError> {
+        let w = w();
+        for src_cost in [var_cost as fn(&Var) -> Option<u64>, graded_cost] {
+            let mut src_cost = src_cost;
+            let best = w.best_program(dag, &mut src_cost);
+            prop_assert_eq!(
+                w.program_cost(dag, &mut src_cost),
+                best.as_ref().map(|b| b.0)
+            );
+            if let Some((cost, prog)) = &best {
+                let mut repriced = 0;
+                for atom in &prog.atoms {
+                    repriced += w.atom_expr_cost(atom, &mut src_cost).unwrap() + w.per_atom;
+                }
+                prop_assert_eq!(repriced, *cost, "program {}", prog);
+            }
+            for aset in dag.edges.values().flatten() {
+                let built = w.best_atom(aset, &mut src_cost);
+                let priced = w.atom_cost(aset, &mut src_cost, &mut ListPrices::default());
+                prop_assert_eq!(priced.map(|p| p.0), built.as_ref().map(|b| b.0));
+                if let Some((cost, atom)) = &built {
+                    prop_assert_eq!(w.atom_expr_cost(atom, &mut src_cost), Some(*cost));
+                }
+                if let AtomSet::SubStr { p1, p2, .. } = aset {
+                    for pset in p1.iter().chain(p2.iter()) {
+                        let (cost, pos) = w.best_pos(pset);
+                        prop_assert_eq!(w.pos_cost(pset).0, cost);
+                        prop_assert_eq!(w.pos_expr_cost(&pos), cost);
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// DAGs generated from two inputs and an output spliced from both
+        /// plus a constant separator: many atoms and positions tie.
+        #[test]
+        fn pricing_and_build_passes_agree(
+            a in "[A-Za-z0-9 ,.-]{1,10}",
+            b in "[a-z0-9 ]{1,8}",
+            i in 0usize..10,
+            j in 0usize..10,
+        ) {
+            let (i, j) = (i % a.len(), j % b.len());
+            let output = format!("{}-{}", &a[i..], &b[..=j]);
+            passes_agree(&gen(&[&a, &b], &output))?;
+        }
     }
 
     #[test]
