@@ -232,7 +232,7 @@ impl<T: Eq + Hash + Clone> Store<T> {
 }
 
 /// Hash-cons hit/volume counters of one arena, for `/metrics` and the
-/// `perf_snapshot` `arena` section.
+/// benchmark's `arena.*` metrics.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct ArenaStats {
     /// Distinct values stored, summed across all typed stores.

@@ -311,8 +311,9 @@ mod tests {
         let synthesizer = Synthesizer::new(Arc::new(db));
         let learned = synthesizer.learn(&examples).expect("scaled learn");
         let top = learned.top().expect("top program");
-        let probe = scaled_lookup_row(17);
-        assert_eq!(top.run(&[&probe[0]]).as_deref(), Some(probe[1].as_str()));
+        for probe in [scaled_lookup_row(17), scaled_lookup_row(rows / 2)] {
+            assert_eq!(top.run(&[&probe[0]]).as_deref(), Some(probe[1].as_str()));
+        }
     }
 
     #[test]

@@ -125,7 +125,7 @@ impl Engine {
 
     /// Hash-cons counters (distinct values, intern traffic,
     /// resident-bytes estimate) of the arena a snapshot of the memo plane
-    /// would write now — the `/metrics` and `perf_snapshot` observable.
+    /// would write now — the `/metrics` and benchmark `arena.*` observable.
     /// The arena is built from the live memo entries on every call, so the
     /// cost is O(memo).
     pub fn arena_stats(&self) -> ArenaStats {

@@ -23,19 +23,20 @@ use semantic_strings::prelude::*;
 const MAX_EXAMPLES: usize = 3;
 const TOP_K: usize = 3;
 
-/// Synthesized-column length per task: enough to cross the parallel
-/// plane's chunking threshold on at least some tasks while keeping the
-/// 50-task replay fast.
-const COLUMN_ROWS: usize = 300;
+/// Synthesized-column length per task. `run_column` splits a column
+/// across the pool only from 2 × 1024 rows (`PAR_CHUNK_MIN` in the
+/// compiled plane); shorter columns run serially at every width. The
+/// synthesized column alone reaches that length, so every task's
+/// comparison takes the chunked parallel branch, in three chunks at each
+/// parallel width.
+const COLUMN_ROWS: usize = 2 * 1024;
 
 /// Pool widths every `run_column` output is compared across: serial, two
-/// workers, and the machine width when that differs.
+/// and four workers, and the machine width when that differs.
 fn widths() -> Vec<usize> {
-    let wide = default_threads().max(2);
-    let mut w = vec![1usize, 2];
-    if wide > 2 {
-        w.push(wide);
-    }
+    let mut w = vec![1usize, 2, 4, default_threads()];
+    w.sort_unstable();
+    w.dedup();
     w
 }
 

@@ -10,7 +10,7 @@
 //! the memo), so any stale or mis-keyed hit fails loudly on the exact
 //! task that exposed it.
 
-use semantic_strings::benchmarks::all_tasks;
+use semantic_strings::benchmarks::{all_tasks, BenchmarkTask};
 use semantic_strings::core::{converge, SynthesisOptions};
 use semantic_strings::prelude::*;
 
@@ -71,6 +71,20 @@ fn cache_on_and_off_agree_on_every_task() {
             observe(&lc, &task.rows),
             observe(&lu, &task.rows),
             "count/size/top-k outputs drifted on task {} ({})",
+            task.id,
+            task.name
+        );
+
+        // The first-example learn (Fig. 12b's x-axis), served from the
+        // cached synthesizer's memo and regenerated by the uncached one.
+        let first = |s: &Synthesizer| {
+            s.learn(&rc.examples[..1])
+                .unwrap_or_else(|e| panic!("task {} ({}) first example: {e}", task.id, task.name))
+        };
+        assert_eq!(
+            observe(&first(&cached), &task.rows),
+            observe(&first(&uncached), &task.rows),
+            "first-example learn drifted on task {} ({})",
             task.id,
             task.name
         );
@@ -138,4 +152,45 @@ fn intersection_memo_serves_replays() {
         stats.intersect_hits > 0,
         "no intersection-memo hits recorded: {stats:?}"
     );
+}
+
+/// A no-op mutation round trip — one benign row inserted into table 0 of
+/// every task database that has tables, then deleted — must leave every
+/// observable of a fresh engine's §3.2 loop bit-identical to the untouched
+/// database: convergence, count, size, top-k outputs and the arena a
+/// snapshot would write. The lone tombstone stays far below the compaction threshold, so
+/// the incremental index paths (not the rebuild fallback) carry the trip.
+#[test]
+fn noop_mutation_round_trip_changes_no_observable() {
+    let converge_fresh = |db: Database, task: &BenchmarkTask| {
+        let engine = Engine::new(std::sync::Arc::new(db));
+        let mut session = engine.session();
+        let outcome = session
+            .converge_with(&task.rows, MAX_EXAMPLES)
+            .unwrap_or_else(|e| panic!("task {} ({}): {e}", task.id, task.name));
+        let observed = observe(session.learned().expect("converged"), &task.rows);
+        let arena = engine.arena_stats();
+        (
+            outcome.examples_used,
+            outcome.converged,
+            observed,
+            arena.stored,
+            arena.interned,
+        )
+    };
+    for task in all_tasks().into_iter().filter(|t| !t.db.is_empty()) {
+        let mut db = task.db.clone();
+        let row: Vec<String> = (0..db.table(0).width())
+            .map(|c| format!("\u{2047}noop{c}\u{2047}"))
+            .collect();
+        let ids = db.insert_rows(0, vec![row]).expect("round-trip insert");
+        db.delete_rows(0, &ids).expect("round-trip delete");
+        assert_eq!(
+            converge_fresh(db, &task),
+            converge_fresh(task.db.clone(), &task),
+            "no-op mutation round trip changed an observable on task {} ({})",
+            task.id,
+            task.name
+        );
+    }
 }

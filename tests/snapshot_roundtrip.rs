@@ -11,7 +11,11 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use semantic_strings::arena::{open_snapshot, SnapshotError, SNAPSHOT_VERSION};
+use semantic_strings::benchmarks::{all_tasks, Category};
 use semantic_strings::prelude::*;
+
+/// Examples the simulated user gives per suite task.
+const MAX_EXAMPLES: usize = 3;
 
 /// A fresh per-case snapshot path (proptest cases run in one process).
 fn case_path(tag: &str, seed: u64) -> PathBuf {
@@ -193,4 +197,41 @@ fn wrong_version_is_typed() {
         open_snapshot(&bytes),
         Err(SnapshotError::BadMagic)
     ));
+}
+
+/// The hash-consing payoff of the arena a snapshot writes: over the first
+/// three `Lt` and the first three `Lu` suite tasks, each engine runs the
+/// §3.2 loop through a session plus one warm relearn of the converged
+/// set, and the summed intern calls must be at least twice the distinct
+/// values stored.
+#[test]
+fn suite_snapshot_arena_dedups_at_least_twice() {
+    let (mut lookup, mut semantic) = (0usize, 0usize);
+    let smoke = all_tasks().into_iter().filter(|t| {
+        let kept = match t.category {
+            Category::Lookup => &mut lookup,
+            Category::Semantic => &mut semantic,
+        };
+        *kept += 1;
+        *kept <= 3
+    });
+    let (mut stored, mut interned) = (0u64, 0u64);
+    for task in smoke {
+        let engine = Engine::new(Arc::new(task.db.clone()));
+        let mut session = engine.session();
+        session
+            .converge_with(&task.rows, MAX_EXAMPLES)
+            .unwrap_or_else(|e| panic!("task {} ({}): {e}", task.id, task.name));
+        engine
+            .learn(session.examples())
+            .expect("converged example set must be learnable");
+        let stats = engine.arena_stats();
+        stored += stats.stored;
+        interned += stats.interned;
+    }
+    let dedup_ratio = interned as f64 / stored as f64;
+    assert!(
+        dedup_ratio >= 2.0,
+        "arena dedup ratio {dedup_ratio} below 2: {interned} interned / {stored} stored"
+    );
 }
