@@ -231,7 +231,8 @@ impl From<String> for Symbol {
     }
 }
 
-/// Multiply-xor hasher for small integer keys ([`Symbol`], node-id pairs).
+/// Multiply-xor hasher for small integer keys ([`Symbol`], node-id pairs,
+/// packed gram keys).
 /// One multiply per word beats SipHash on the synthesis hot path; symbols
 /// are attacker-free internal ids, so DoS hardening is not needed.
 #[derive(Debug, Default, Clone, Copy)]

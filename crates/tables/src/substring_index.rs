@@ -11,51 +11,63 @@
 //! the table size — the same move BlinkFill's `InputDataGraph` makes for its
 //! substring queries.
 //!
-//! Three structures answer the two directions of the relation:
+//! Two structures answer the two directions of the relation:
 //!
 //! * **`v ⊑ s`** — an exact map from full value bytes to value id, plus the
 //!   sorted set of distinct value lengths: slide a window of each indexed
 //!   length over `s` and probe the map. Byte windows are safe for UTF-8:
 //!   a window equal to a valid UTF-8 value necessarily starts on a char
 //!   boundary (UTF-8 is self-synchronizing), matching `str::contains`.
-//! * **`s ⊑ v`, `|s| ≥ q`** — classic q-gram postings (`q = 3`): every
-//!   value of length ≥ q posts each of its q-grams. The probe takes the
-//!   *rarest* of `s`'s q-grams as the candidate list (any missing gram
+//! * **`s ⊑ v`** — one gram map: every value posts each of its byte grams
+//!   of length `1..=Q` (`Q = 3`). A probe with `|s| ≥ Q` takes the
+//!   *rarest* of its `Q`-grams as the candidate list (any missing gram
 //!   proves no value contains `s`) and verifies candidates with one
-//!   `contains` each.
-//! * **`s ⊑ v`, `|s| < q`** — a short-gram side table: every value posts
-//!   its grams of length `1..q` too, so a short probe is itself a gram key
-//!   and the postings list *is* the exact answer, no verification needed.
-//!   This also covers cells shorter than `q`, which post no q-grams.
+//!   `contains` each. A probe with `|s| < Q` is itself a gram key, so its
+//!   postings list *is* the exact answer, no verification needed; this
+//!   also covers cells shorter than `Q`.
+//!
+//! Gram keys are packed into a `u32` (`gram_key`): the gram's length in
+//! the top byte, its up to `Q` bytes in the low three. The length byte
+//! keeps `"a"` and `"a\0"` apart, so grams of every length share one map.
 //!
 //! Empty values are never indexed and empty probes never relate, matching
 //! the [`crate::Table::cells_related_to`] scan, which remains in the tree as
 //! this index's correctness oracle (see the property tests).
 //!
+//! [`SubstringIndex::build`] is a bulk build in two passes: one over the
+//! live cells assigns dense ids in first-seen order with refcounts, and
+//! one over the distinct values posts each gram with a plain `push`.
+//! Ids ascend in the second pass, so every postings list comes out sorted
+//! with no binary insertion.
+//!
 //! The index is **incrementally maintainable** for the row-mutation plane:
 //! every distinct value carries a refcount of the live cells holding it
 //! ([`SubstringIndex::insert_value`] / [`SubstringIndex::remove_value`]),
-//! postings are kept sorted by binary insertion so entries can be spliced
-//! out, and freed value ids go on a free list for reuse. Dense-id
-//! *numbering* may therefore diverge from a fresh build's after
-//! delete/reinsert churn — equivalence with a rebuild is pinned at the
-//! answer level ([`SubstringIndex::related_values`] sets), which is all any
-//! consumer observes (the `GenerateStr_u` gate canonicalizes candidate
+//! and only this mutation path keeps postings sorted by binary insertion so
+//! entries can be spliced out; freed value ids go on a free list for
+//! reuse. Dense-id *numbering* may therefore diverge from a fresh build's
+//! after delete/reinsert churn — equivalence with a rebuild is pinned at
+//! the answer level ([`SubstringIndex::related_values`] sets), which is all
+//! any consumer observes (the `GenerateStr_u` gate canonicalizes candidate
 //! order).
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
-use crate::intern::Symbol;
+use crate::intern::{IntMap, Symbol};
 use crate::table::{ColId, Table};
 
-/// Gram width of the long-probe postings. Values shorter than `Q` are
-/// covered by the short-gram side table.
+/// Widest gram the index posts; a probe at least this long is answered
+/// from its rarest `Q`-gram.
 pub const Q: usize = 3;
+
+// A packed gram key holds the length in its top byte and the gram below.
+const _: () = assert!(Q <= 3, "packed gram keys hold at most 3 bytes");
 
 /// Substring-relation postings over one table's distinct cell values.
 ///
-/// Keys borrow the interner's `&'static` bytes, so the index stores no
-/// string data of its own.
+/// Keys borrow the interner's `&'static` bytes or pack them into a `u32`,
+/// so the index stores no string data of its own.
 #[derive(Debug, Clone, Default)]
 pub struct SubstringIndex {
     /// Value per dense id; slots of freed ids are stale until reused.
@@ -70,19 +82,50 @@ pub struct SubstringIndex {
     /// `(byte length, distinct live values of that length)`, ascending by
     /// length.
     lens: Vec<(u32, u32)>,
-    /// q-gram → ids of values (length ≥ `Q`) containing it, ascending.
-    grams: HashMap<&'static [u8], Vec<u32>>,
-    /// Short gram (length `1..Q`) → ids of values containing it, ascending.
-    short: HashMap<&'static [u8], Vec<u32>>,
+    /// Packed gram (`gram_key`, length `1..=Q`) → ids of values
+    /// containing it, ascending.
+    ///
+    /// The multiply-xor [`crate::IntHasher`] has no DoS hardening. That
+    /// is acceptable here: tables enter only through the in-process API
+    /// and snapshot files (the server exposes no table endpoint), and the
+    /// packed key space is bounded by `Q` bytes and a length.
+    grams: IntMap<u32, Vec<u32>>,
 }
 
 impl SubstringIndex {
-    /// Builds the index over one table's live cells.
+    /// Builds the index over one table's live cells in bulk: one pass
+    /// over the cells assigns ids, one over the distinct values posts
+    /// their grams.
     pub fn build(table: &Table) -> Self {
         let mut idx = SubstringIndex::default();
+        // Dense ids in first-seen order: the ids `insert_value` would give.
         for r in table.row_ids() {
             for c in 0..table.width() {
-                idx.insert_value(table.cell_sym(c as ColId, r));
+                let v = table.cell_sym(c as ColId, r);
+                if v.is_empty() {
+                    continue;
+                }
+                let bytes = v.as_str().as_bytes();
+                match idx.exact.entry(bytes) {
+                    Entry::Occupied(e) => idx.refs[*e.get() as usize] += 1,
+                    Entry::Vacant(e) => {
+                        e.insert(idx.vals.len() as u32);
+                        idx.vals.push(v);
+                        idx.refs.push(1);
+                        count_len(&mut idx.lens, bytes.len());
+                    }
+                }
+            }
+        }
+        // Ids ascend, so a push keeps every postings list sorted; a gram
+        // repeated within one value finds its id already last.
+        for (id, v) in idx.vals.iter().enumerate() {
+            let id = id as u32;
+            for key in gram_keys(v.as_str().as_bytes()) {
+                let posting = idx.grams.entry(key).or_default();
+                if posting.last() != Some(&id) {
+                    posting.push(id);
+                }
             }
         }
         idx
@@ -113,19 +156,12 @@ impl SubstringIndex {
             }
         };
         self.exact.insert(bytes, id);
-        let len = bytes.len() as u32;
-        match self.lens.binary_search_by_key(&len, |&(l, _)| l) {
-            Ok(pos) => self.lens[pos].1 += 1,
-            Err(pos) => self.lens.insert(pos, (len, 1)),
-        }
-        if bytes.len() >= Q {
-            for gram in bytes.windows(Q) {
-                posting_insert(self.grams.entry(gram).or_default(), id);
-            }
-        }
-        for glen in 1..Q.min(bytes.len() + 1) {
-            for gram in bytes.windows(glen) {
-                posting_insert(self.short.entry(gram).or_default(), id);
+        count_len(&mut self.lens, bytes.len());
+        for key in gram_keys(bytes) {
+            let posting = self.grams.entry(key).or_default();
+            // A gram repeated within one value probes as already present.
+            if let Err(pos) = posting.binary_search(&id) {
+                posting.insert(pos, id);
             }
         }
     }
@@ -153,14 +189,16 @@ impl SubstringIndex {
                 self.lens.remove(pos);
             }
         }
-        if bytes.len() >= Q {
-            for gram in bytes.windows(Q) {
-                posting_remove(&mut self.grams, gram, id);
-            }
-        }
-        for glen in 1..Q.min(bytes.len() + 1) {
-            for gram in bytes.windows(glen) {
-                posting_remove(&mut self.short, gram, id);
+        for key in gram_keys(bytes) {
+            if let Entry::Occupied(mut e) = self.grams.entry(key) {
+                let posting = e.get_mut();
+                if let Ok(pos) = posting.binary_search(&id) {
+                    posting.remove(pos);
+                }
+                // Churn never strands empty lists.
+                if posting.is_empty() {
+                    e.remove();
+                }
             }
         }
         self.free.push(id);
@@ -213,7 +251,7 @@ impl SubstringIndex {
         // Direction 2 (s ⊑ v).
         if sb.len() < Q {
             // The probe is itself a gram key: postings are the exact answer.
-            if let Some(posting) = self.short.get(sb) {
+            if let Some(posting) = self.grams.get(&gram_key(sb)) {
                 for &id in posting {
                     if Some(id) != self_id {
                         out.push(self.vals[id as usize]);
@@ -221,11 +259,11 @@ impl SubstringIndex {
                 }
             }
         } else {
-            // Rarest q-gram of the probe; a value containing `s` contains
+            // Rarest Q-gram of the probe; a value containing `s` contains
             // every gram of `s`, so one absent gram proves emptiness.
             let mut rarest: Option<&Vec<u32>> = None;
             for gram in sb.windows(Q) {
-                match self.grams.get(gram) {
+                match self.grams.get(&gram_key(gram)) {
                     None => return out,
                     Some(p) => {
                         if rarest.is_none_or(|r| p.len() < r.len()) {
@@ -246,25 +284,30 @@ impl SubstringIndex {
     }
 }
 
-/// Splices `id` into a sorted postings list; a gram repeated within one
-/// value probes as already-present and is posted once.
-fn posting_insert(posting: &mut Vec<u32>, id: u32) {
-    if let Err(pos) = posting.binary_search(&id) {
-        posting.insert(pos, id);
+/// Counts one more distinct value of `len` bytes in the ascending
+/// `(length, count)` buckets.
+fn count_len(lens: &mut Vec<(u32, u32)>, len: usize) {
+    let len = len as u32;
+    match lens.binary_search_by_key(&len, |&(l, _)| l) {
+        Ok(pos) => lens[pos].1 += 1,
+        Err(pos) => lens.insert(pos, (len, 1)),
     }
 }
 
-/// Splices `id` out of a gram's postings, dropping the entry when it
-/// empties (so churn never strands empty lists).
-fn posting_remove(postings: &mut HashMap<&'static [u8], Vec<u32>>, gram: &[u8], id: u32) {
-    if let Some(posting) = postings.get_mut(gram) {
-        if let Ok(pos) = posting.binary_search(&id) {
-            posting.remove(pos);
-        }
-        if posting.is_empty() {
-            postings.remove(gram);
-        }
+/// Packs a gram of `1..=Q` bytes into a key: the length in the top byte,
+/// the bytes in the low three (first byte lowest, unused bytes zero).
+fn gram_key(gram: &[u8]) -> u32 {
+    let mut key = (gram.len() as u32) << 24;
+    for (i, &b) in gram.iter().enumerate() {
+        key |= (b as u32) << (8 * i);
     }
+    key
+}
+
+/// The packed keys of every gram of `bytes` of length `1..=Q`, repeats
+/// included. `windows` yields nothing for a length past `bytes.len()`.
+fn gram_keys(bytes: &[u8]) -> impl Iterator<Item = u32> + '_ {
+    (1..=Q).flat_map(move |glen| bytes.windows(glen).map(gram_key))
 }
 
 #[cfg(test)]
@@ -301,7 +344,7 @@ mod tests {
     }
 
     #[test]
-    fn short_probe_uses_side_table() {
+    fn short_probe_answers_from_its_postings() {
         let idx = index(&["Microsoft", "ab", "b"]);
         // |s| = 1 < Q: values containing "b".
         assert_eq!(related(&idx, "b"), vec!["ab", "b"]);
@@ -314,6 +357,14 @@ mod tests {
         let idx = index(&["ab", "x"]);
         assert_eq!(related(&idx, "zabz"), vec!["ab"]);
         assert_eq!(related(&idx, "x"), vec!["x"]);
+    }
+
+    #[test]
+    fn gram_keys_keep_lengths_apart() {
+        // Without the length byte, "a" and "a\0" would pack to one key.
+        let idx = index(&["xa"]);
+        assert!(idx.related_values("a\u{0}").is_empty());
+        assert_eq!(related(&idx, "a"), vec!["xa"]);
     }
 
     #[test]

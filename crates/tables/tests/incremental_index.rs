@@ -14,7 +14,7 @@
 //!
 //! A scripted walk pins each mutation path deterministically (this is the
 //! harness CI names), and a property test replays random
-//! insert/update/delete sequences over unicode and short-gram cells,
+//! insert/update/delete sequences over NUL, unicode and short-gram cells,
 //! reusing the oracle pattern from the substring-index tests.
 
 use proptest::prelude::*;
@@ -22,7 +22,21 @@ use sst_tables::{ColId, Database, SubstringIndex, Table, ValueIndex};
 
 /// Grams and degenerate probes every answer-level comparison includes on
 /// top of the values currently (or ever) in the table.
-const FIXED_PROBES: &[&str] = &["a", "b", "z", "\u{3c8}", " ", "ab", "b\u{3c8}", ""];
+const FIXED_PROBES: &[&str] = &[
+    "a",
+    "b",
+    "z",
+    "\u{3c8}",
+    " ",
+    "ab",
+    "b\u{3c8}",
+    "",
+    "\u{0}",
+    "a\u{0}",
+    "\u{20ac}",
+    "\u{1d11e}",
+    "b\u{20ac}",
+];
 
 /// Asserts every table's incrementally-maintained indexes are equivalent
 /// to from-scratch rebuilds. `extra_probes` should hold every cell value
@@ -178,16 +192,16 @@ fn incremental_indexes_match_rebuild_after_scripted_mutations() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Random insert/update/delete sequences (unicode + short-gram cells)
-    /// leave all three index structures equivalent to a from-scratch
-    /// rebuild after **every** op.
+    /// Random insert/update/delete sequences (NUL, 2/3/4-byte unicode and
+    /// short-gram cells) leave all three index structures equivalent to a
+    /// from-scratch rebuild after **every** op.
     #[test]
     fn random_mutation_sequences_match_rebuild(
         kinds in prop::collection::vec(0u8..3, 24..25),
         sels in prop::collection::vec(0usize..1024, 24..25),
         cols in prop::collection::vec(1u32..3, 24..25),
-        cells_a in prop::collection::vec("[ab\u{3c8} ]{0,6}", 24..25),
-        cells_b in prop::collection::vec("[ab\u{3c8} cz]{0,9}", 24..25),
+        cells_a in prop::collection::vec("[ab\u{3c8}\u{0}\u{20ac}\u{1d11e} ]{0,6}", 24..25),
+        cells_b in prop::collection::vec("[ab\u{3c8}\u{0}\u{20ac}\u{1d11e} cz]{0,9}", 24..25),
     ) {
         let mut db = harness_db();
         let log = db.table_id("Log").unwrap();

@@ -6,18 +6,21 @@
 //! the q-gram / length-bucket postings of [`SubstringIndex`]) must return
 //! exactly the same cell set on every table and probe, including the edge
 //! cases the postings treat specially: empty probes and empty cells (never
-//! relate), cells shorter than the gram width `q` (side table), multi-byte
-//! UTF-8 values (byte-window probes), and repeated values/grams.
+//! relate), cells shorter than the gram width `q` (their own gram keys),
+//! zero bytes and multi-byte UTF-8 values (packed gram keys, byte-window
+//! probes), and repeated values/grams.
 
 use proptest::prelude::*;
 
 use sst_tables::{CellRef, Database, Table, TableId};
 
 /// Alphabet exercising the index's special paths: ASCII letters shared
-/// between cells and probes (frequent overlaps), a space, a multi-byte
-/// Greek letter, and a character that appears only in probes.
-const CELL: &str = "[abψ ]{0,6}";
-const PROBE: &str = "[abψ cz]{0,9}";
+/// between cells and probes (frequent overlaps), a space, NUL (a zero
+/// byte inside a packed gram key), 2-, 3- and 4-byte chars (grams that
+/// straddle char boundaries), and a character that appears only in
+/// probes.
+const CELL: &str = "[abψ\u{0}€𝄞 ]{0,6}";
+const PROBE: &str = "[abψ\u{0}€𝄞 cz]{0,9}";
 
 /// Builds a one-table database whose data cells are the generated strings
 /// (any content, including empty and duplicate cells) behind a synthetic
