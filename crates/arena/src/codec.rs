@@ -845,8 +845,8 @@ fn intern_checked<T: Eq + std::hash::Hash + Clone>(
 // ---------------------------------------------------------------------------
 
 /// Writes the database: every table's name, columns, declared candidate
-/// keys and live rows (cells as symbol references), in [`TableId`]
-/// (`sst_tables::TableId`) order — so table ids survive the round trip
+/// keys and live rows (cells as symbol references), in
+/// [`TableId`](sst_tables::TableId) order — so table ids survive the round trip
 /// and memo entries referencing them stay meaningful.
 pub fn encode_database(db: &Database, w: &mut Writer, sym: &mut SymEncoder) {
     w.u32(db.len() as u32);

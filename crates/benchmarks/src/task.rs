@@ -42,11 +42,6 @@ impl BenchmarkTask {
         &self.rows[..n.min(self.rows.len())]
     }
 
-    /// Rows after the first `n` (held out).
-    pub fn held_out(&self, n: usize) -> &[Example] {
-        &self.rows[n.min(self.rows.len())..]
-    }
-
     /// Input rows only (for the interaction model).
     pub fn input_rows(&self) -> Vec<Vec<String>> {
         self.rows.iter().map(|r| r.inputs.clone()).collect()

@@ -198,7 +198,7 @@ struct AtomicStats {
 /// [`crate::LuOptions`].
 ///
 /// Memory is bounded: each memo flushes wholesale when it outgrows its
-/// threshold ([`MAX_DAG_ENTRIES`], [`MAX_MEMO_ENTRIES`]) — correctness
+/// threshold (`MAX_DAG_ENTRIES`, `MAX_MEMO_ENTRIES`) — correctness
 /// never depends on an entry being present, so eviction is just a refill
 /// cost on workloads large enough to hit it.
 #[derive(Debug, Default)]
@@ -455,7 +455,7 @@ impl DagCache {
 
     /// Reads a cache written by [`DagCache::encode_snapshot`], extracting
     /// every memoized structure back out of the snapshot's arena (one
-    /// shared [`ExtractCtx`], so restored entries re-share `Arc`
+    /// shared `ExtractCtx`, so restored entries re-share `Arc`
     /// allocations like a live fill would) and then dropping the arena.
     /// Every id is bounds- and structure-validated — a crafted payload
     /// fails typed, never panics. The cache binds to `db_epoch`, the

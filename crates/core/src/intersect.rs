@@ -19,7 +19,7 @@ use std::sync::Arc;
 
 use sst_lookup::NodeId;
 use sst_par::CancelToken;
-use sst_syntactic::{intersect_dags_memo, intersect_dags_memo_unpruned, Dag, PosMemo};
+use sst_syntactic::{intersect_dags, intersect_dags_unpruned, Dag, PosMemo};
 use sst_tables::IntMap;
 
 use crate::dstruct::{GenCondU, GenLookupU, GenPredU, SemDStruct, SemNode};
@@ -41,7 +41,7 @@ use crate::dstruct::{GenCondU, GenLookupU, GenPredU, SemDStruct, SemNode};
 ///   key value — one row pair's predicate work serves every row pair
 ///   carrying the same values.
 pub fn intersect_du(a: &SemDStruct, b: &SemDStruct) -> SemDStruct {
-    intersect_du_impl(a, b, Tuning::OPTIMIZED, &CancelToken::default())
+    intersect_du_impl(a, b, false, &CancelToken::default())
 }
 
 /// The unpruned, unmemoized `Intersect_u`: every edge pair expands its
@@ -50,7 +50,7 @@ pub fn intersect_du(a: &SemDStruct, b: &SemDStruct) -> SemDStruct {
 /// the differential property tests; counts, sizes and ranking must match
 /// [`intersect_du`] bit for bit.
 pub fn intersect_du_unpruned(a: &SemDStruct, b: &SemDStruct) -> SemDStruct {
-    intersect_du_impl(a, b, Tuning::ORACLE, &CancelToken::default())
+    intersect_du_impl(a, b, true, &CancelToken::default())
 }
 
 /// [`intersect_du`] under a cooperative [`CancelToken`], checked once per
@@ -63,34 +63,13 @@ pub(crate) fn intersect_du_budgeted(
     b: &SemDStruct,
     cancel: &CancelToken,
 ) -> SemDStruct {
-    intersect_du_impl(a, b, Tuning::OPTIMIZED, cancel)
-}
-
-/// Which product-pruning optimizations run (see [`intersect_du`]).
-#[derive(Clone, Copy)]
-struct Tuning {
-    prune_product: bool,
-    skip_empty_pairs: bool,
-    memo_nested: bool,
-}
-
-impl Tuning {
-    const OPTIMIZED: Tuning = Tuning {
-        prune_product: true,
-        skip_empty_pairs: true,
-        memo_nested: true,
-    };
-    const ORACLE: Tuning = Tuning {
-        prune_product: false,
-        skip_empty_pairs: false,
-        memo_nested: false,
-    };
+    intersect_du_impl(a, b, false, cancel)
 }
 
 fn intersect_du_impl(
     a: &SemDStruct,
     b: &SemDStruct,
-    tuning: Tuning,
+    oracle: bool,
     cancel: &CancelToken,
 ) -> SemDStruct {
     let (Some(ta), Some(tb)) = (&a.top, &b.top) else {
@@ -106,7 +85,7 @@ fn intersect_du_impl(
     let mut ctx = Ctx {
         a,
         b,
-        tuning,
+        oracle,
         out_nodes: Vec::new(),
         memo,
         dag_memo: IntMap::default(),
@@ -137,7 +116,9 @@ type NestedDagEntry = (Arc<Dag<NodeId>>, Arc<Dag<NodeId>>, Option<Arc<Dag<NodeId
 struct Ctx<'a> {
     a: &'a SemDStruct,
     b: &'a SemDStruct,
-    tuning: Tuning,
+    /// Runs the naive construction: no product mask, no empty-pair skip,
+    /// no nested-DAG memo (see [`intersect_du_unpruned`]).
+    oracle: bool,
     out_nodes: Vec<SemNode>,
     memo: IntMap<(NodeId, NodeId), NodeId>,
     dag_memo: IntMap<(usize, usize), NestedDagEntry>,
@@ -158,9 +139,7 @@ impl Ctx<'_> {
         if self.cancel.is_cancelled() {
             return None;
         }
-        if self.tuning.skip_empty_pairs
-            && (self.a.node(na).progs.is_empty() || self.b.node(nb).progs.is_empty())
-        {
+        if !self.oracle && (self.a.node(na).progs.is_empty() || self.b.node(nb).progs.is_empty()) {
             return None;
         }
         Some(self.pair(na, nb))
@@ -185,7 +164,7 @@ impl Ctx<'_> {
         db: &Arc<Dag<NodeId>>,
         memoize: bool,
     ) -> Option<Arc<Dag<NodeId>>> {
-        let memoize = memoize && self.tuning.memo_nested;
+        let memoize = memoize && !self.oracle;
         let key = (Arc::as_ptr(da) as usize, Arc::as_ptr(db) as usize);
         if memoize {
             if let Some((_, _, hit)) = self.dag_memo.get(&key) {
@@ -193,20 +172,12 @@ impl Ctx<'_> {
             }
         }
         let pos_memo = self.pos_memo;
-        let out = if self.tuning.prune_product {
-            intersect_dags_memo(
-                &**da,
-                &**db,
-                &mut |x: &NodeId, y: &NodeId| self.pair_src(*x, *y),
-                pos_memo,
-            )
+        let oracle = self.oracle;
+        let mut pair_src = |x: &NodeId, y: &NodeId| self.pair_src(*x, *y);
+        let out = if oracle {
+            intersect_dags_unpruned(&**da, &**db, &mut pair_src, pos_memo)
         } else {
-            intersect_dags_memo_unpruned(
-                &**da,
-                &**db,
-                &mut |x: &NodeId, y: &NodeId| self.pair_src(*x, *y),
-                pos_memo,
-            )
+            intersect_dags(&**da, &**db, &mut pair_src, pos_memo)
         }
         .map(Arc::new);
         if memoize {

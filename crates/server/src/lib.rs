@@ -13,7 +13,7 @@
 //! The pieces, each its own module:
 //!
 //! - [`server`] — the accept loop, routing table, and error→status
-//!   mapping; one [`Server`](server::Server) hosts many *named* engines.
+//!   mapping; one [`server::Server`] hosts many *named* engines.
 //! - [`sessions`] — server-side session registry; idle conversations
 //!   are evicted by a hashed deadline wheel, and a dead id answers the
 //!   typed `SessionNotFound` (HTTP 404) forever after.
@@ -25,7 +25,7 @@
 //!   engine cache hit/miss rates, rendered as Prometheus text on
 //!   `/metrics`.
 //! - [`client`] — a blocking keep-alive client speaking the same wire
-//!   types, used by the equivalence tests and `traffic_replay`.
+//!   types, used by the equivalence and served-traffic tests.
 //!
 //! ## Quickstart
 //!

@@ -375,23 +375,6 @@ impl Engine {
         Ok(top.compile().run_column(rows, &self.inner.pool))
     }
 
-    /// [`Engine::apply`] under a wall-clock budget covering the learn
-    /// phase (the row application of an already-learned program is bounded
-    /// work and runs to completion). Deadline aborts surface as
-    /// [`ServiceError::DeadlineExceeded`]; all shared memos stay valid.
-    pub fn apply_with_budget(
-        &self,
-        examples: &[Example],
-        rows: &[Vec<String>],
-        budget: Duration,
-    ) -> Result<Vec<Option<String>>, ServiceError> {
-        let learned = self.learn_with_budget(examples, budget)?;
-        let top = learned
-            .top()
-            .ok_or(ServiceError::Synthesis(SynthesisError::NoConsistentProgram))?;
-        Ok(top.compile().run_column(rows, &self.inner.pool))
-    }
-
     /// Serves a batch of independent [`ApplyRequest`]s, fanned across the
     /// engine pool with the same discipline as [`Engine::learn_batch`]:
     /// request-ordered responses, one shared database snapshot and warm

@@ -169,11 +169,6 @@ impl Session {
         self.inputs = inputs;
     }
 
-    /// Adds one watched input row.
-    pub fn watch_input(&mut self, input: Vec<String>) {
-        self.inputs.push(input);
-    }
-
     /// The watched input rows.
     pub fn inputs(&self) -> &[Vec<String>] {
         &self.inputs

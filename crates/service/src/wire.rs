@@ -3,7 +3,7 @@
 //! The build container has no registry access, so this module hand-rolls
 //! the small JSON subset the serving stack needs instead of pulling in
 //! `serde` — in the same vendored spirit as `sst-par` and the offline
-//! `proptest`/`criterion` shims. One encoded value is always **one line**
+//! `proptest` shim. One encoded value is always **one line**
 //! (JSON escapes every control character, so a newline can never appear
 //! inside an encoded value), which gives the server its framing for free:
 //! request and response bodies are newline-delimited streams of values,
@@ -24,7 +24,7 @@
 //!   `tests/wire_roundtrip.rs` over randomized values — unicode, empty
 //!   strings, miss cells, every error variant.
 //!
-//! [`LearnResponse`](crate::LearnResponse) itself holds the in-memory
+//! [`crate::LearnResponse`] itself holds the in-memory
 //! [`LearnedPrograms`](sst_core::LearnedPrograms) set (counts like
 //! 1.5·10³⁵³ of `Arc`-shared program trees); what crosses the wire is
 //! [`WireLearnResponse`] — the response's *observables*: exact program

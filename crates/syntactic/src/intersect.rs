@@ -70,27 +70,18 @@ impl PosMemo {
 
 /// Intersects two program DAGs. Returns `None` when the intersection is
 /// empty (no common program).
-pub fn intersect_dags<S1, S2, S3>(
-    a: &Dag<S1>,
-    b: &Dag<S2>,
-    src_intersect: &mut impl FnMut(&S1, &S2) -> Option<S3>,
-) -> Option<Dag<S3>>
-where
-    S3: Eq + Hash,
-{
-    intersect_dags_memo(a, b, src_intersect, &PosMemo::new())
-}
-
-/// [`intersect_dags`] with a caller-supplied [`PosMemo`], for sessions that
-/// intersect many DAGs sharing position vectors (`Intersect_u`'s nested
-/// predicate DAGs all draw from one per-step cache).
 ///
-/// Edge pairs are pruned by product reachability before any atom product is
-/// expanded (see [`product_path_masks`]); the result is provably identical
-/// to the unpruned construction ([`intersect_dags_memo_unpruned`], the
-/// differential oracle) because the final productivity prune removes
-/// everything the mask rejects.
-pub fn intersect_dags_memo<S1, S2, S3>(
+/// `pos_memo` caches position-list intersections across calls: sessions
+/// that intersect many DAGs sharing position vectors (`Intersect_u`'s
+/// nested predicate DAGs all draw from one per-step cache) pass one memo
+/// to every call; a one-off intersection passes `&PosMemo::new()`.
+///
+/// Edge pairs are pruned by structural product reachability before any
+/// atom product is expanded; the result is provably identical to the
+/// unpruned construction ([`intersect_dags_unpruned`], the differential
+/// oracle) because the final productivity prune removes everything the
+/// mask rejects.
+pub fn intersect_dags<S1, S2, S3>(
     a: &Dag<S1>,
     b: &Dag<S2>,
     src_intersect: &mut impl FnMut(&S1, &S2) -> Option<S3>,
@@ -107,7 +98,7 @@ where
 /// products, exactly as the pre-mask implementation did. Kept as the
 /// correctness oracle for the differential property tests — pruning must
 /// never drop a program this construction keeps.
-pub fn intersect_dags_memo_unpruned<S1, S2, S3>(
+pub fn intersect_dags_unpruned<S1, S2, S3>(
     a: &Dag<S1>,
     b: &Dag<S2>,
     src_intersect: &mut impl FnMut(&S1, &S2) -> Option<S3>,
@@ -122,11 +113,11 @@ where
 /// Reachability bitmaps over a structural product graph (see
 /// [`product_path_masks`]), indexed `x1 * b.num_nodes + x2`.
 #[derive(Debug, Clone)]
-pub struct ProductMasks {
+struct ProductMasks {
     /// Reachable from the source pair.
-    pub fwd: Vec<bool>,
+    fwd: Vec<bool>,
     /// Co-reachable to the target pair.
-    pub bwd: Vec<bool>,
+    bwd: Vec<bool>,
 }
 
 /// Forward/backward reachability over the *structural* product graph: pair
@@ -141,7 +132,7 @@ pub struct ProductMasks {
 /// is what makes skipping its atom product a pure optimization: the §5.3
 /// `Intersect_u` edge product is O(edges² · atoms²), and the mask removes
 /// the atoms² factor for every edge pair off all source→target paths.
-pub fn product_path_masks<S1, S2>(a: &Dag<S1>, b: &Dag<S2>) -> ProductMasks {
+fn product_path_masks<S1, S2>(a: &Dag<S1>, b: &Dag<S2>) -> ProductMasks {
     let n2 = b.num_nodes as usize;
     let idx = |x1: u32, x2: u32| x1 as usize * n2 + x2 as usize;
     let total = a.num_nodes as usize * n2;
@@ -237,7 +228,7 @@ where
     let mut atoms: ProgSet<AtomSet<S3>> = ProgSet::new();
     for x in atoms1 {
         for y in atoms2 {
-            if let Some(z) = intersect_atom_sets_memo(x, y, src_intersect, pos_memo) {
+            if let Some(z) = intersect_atom_sets(x, y, src_intersect, pos_memo) {
                 atoms.insert(z);
             }
         }
@@ -291,17 +282,9 @@ where
     dag.prune().then_some(dag)
 }
 
-/// Intersects two atom sets (Fig. 5(b) lifted to `Ls` atoms).
-pub fn intersect_atom_sets<S1, S2, S3>(
-    x: &AtomSet<S1>,
-    y: &AtomSet<S2>,
-    src_intersect: &mut impl FnMut(&S1, &S2) -> Option<S3>,
-) -> Option<AtomSet<S3>> {
-    intersect_atom_sets_memo(x, y, src_intersect, &PosMemo::new())
-}
-
-/// [`intersect_atom_sets`] with a shared [`PosMemo`].
-pub fn intersect_atom_sets_memo<S1, S2, S3>(
+/// Intersects two atom sets (Fig. 5(b) lifted to `Ls` atoms), memoizing
+/// position-list intersections in `pos_memo`.
+fn intersect_atom_sets<S1, S2, S3>(
     x: &AtomSet<S1>,
     y: &AtomSet<S2>,
     src_intersect: &mut impl FnMut(&S1, &S2) -> Option<S3>,
@@ -334,7 +317,7 @@ pub fn intersect_atom_sets_memo<S1, S2, S3>(
 }
 
 /// Pairwise-intersects two lists of position sets, dropping empty results.
-pub fn intersect_pos_lists(a: &[PosSet], b: &[PosSet]) -> Vec<PosSet> {
+fn intersect_pos_lists(a: &[PosSet], b: &[PosSet]) -> Vec<PosSet> {
     let mut out = Vec::new();
     for x in a {
         for y in b {
@@ -349,7 +332,7 @@ pub fn intersect_pos_lists(a: &[PosSet], b: &[PosSet]) -> Vec<PosSet> {
 }
 
 /// `IntersectPos` of POPL'11: component-wise set intersection.
-pub fn intersect_pos_sets(x: &PosSet, y: &PosSet) -> Option<PosSet> {
+fn intersect_pos_sets(x: &PosSet, y: &PosSet) -> Option<PosSet> {
     match (x, y) {
         (PosSet::CPos(k1), PosSet::CPos(k2)) if k1 == k2 => Some(PosSet::CPos(*k1)),
         (
@@ -416,7 +399,7 @@ mod tests {
         // still be sound on both.
         let d1 = gen(&["ab 12 cd"], "12");
         let d2 = gen(&["x 345 yz"], "345");
-        let inter = intersect_dags(&d1, &d2, &mut var_eq).expect("nonempty");
+        let inter = intersect_dags(&d1, &d2, &mut var_eq, &PosMemo::new()).expect("nonempty");
         let opts = GenOptions::default();
         for prog in inter.enumerate_programs(200) {
             let got1 = eval_expr(
@@ -440,7 +423,8 @@ mod tests {
     fn intersect_conflicting_constants_keeps_vars_only() {
         let d1 = gen(&["A"], "A");
         let d2 = gen(&["B"], "B");
-        let inter = intersect_dags(&d1, &d2, &mut var_eq).expect("var program survives");
+        let inter =
+            intersect_dags(&d1, &d2, &mut var_eq, &PosMemo::new()).expect("var program survives");
         let progs = inter.enumerate_programs(50);
         assert!(!progs.is_empty());
         for p in &progs {
@@ -458,15 +442,15 @@ mod tests {
         // and the constants differ.
         let d1 = gen(&["q"], "X");
         let d2 = gen(&["q"], "Y");
-        assert!(intersect_dags(&d1, &d2, &mut var_eq).is_none());
+        assert!(intersect_dags(&d1, &d2, &mut var_eq, &PosMemo::new()).is_none());
     }
 
     #[test]
     fn intersect_is_commutative_in_count() {
         let d1 = gen(&["ab 12"], "12");
         let d2 = gen(&["cd 7 x"], "7");
-        let i1 = intersect_dags(&d1, &d2, &mut var_eq).unwrap();
-        let i2 = intersect_dags(&d2, &d1, &mut var_eq).unwrap();
+        let i1 = intersect_dags(&d1, &d2, &mut var_eq, &PosMemo::new()).unwrap();
+        let i2 = intersect_dags(&d2, &d1, &mut var_eq, &PosMemo::new()).unwrap();
         let c1 = i1.count_programs(&mut |_| BigUint::one());
         let c2 = i2.count_programs(&mut |_| BigUint::one());
         assert_eq!(c1, c2);
@@ -475,7 +459,7 @@ mod tests {
     #[test]
     fn intersect_idempotent_on_counts() {
         let d = gen(&["ab 12"], "12");
-        let i = intersect_dags(&d, &d, &mut var_eq).unwrap();
+        let i = intersect_dags(&d, &d, &mut var_eq, &PosMemo::new()).unwrap();
         assert_eq!(
             d.count_programs(&mut |_| BigUint::one()),
             i.count_programs(&mut |_| BigUint::one())
@@ -502,8 +486,8 @@ mod tests {
         for (in1, out1, in2, out2) in cases {
             let d1 = gen(&in1, out1);
             let d2 = gen(&in2, out2);
-            let pruned = intersect_dags(&d1, &d2, &mut var_eq);
-            let oracle = intersect_dags_memo_unpruned(&d1, &d2, &mut var_eq, &PosMemo::new());
+            let pruned = intersect_dags(&d1, &d2, &mut var_eq, &PosMemo::new());
+            let oracle = intersect_dags_unpruned(&d1, &d2, &mut var_eq, &PosMemo::new());
             match (&pruned, &oracle) {
                 (Some(p), Some(o)) => {
                     assert_eq!(
@@ -559,20 +543,20 @@ mod tests {
         let c1: AtomSet<Var> = AtomSet::ConstStr("x".into());
         let c2: AtomSet<Var> = AtomSet::ConstStr("x".into());
         let c3: AtomSet<Var> = AtomSet::ConstStr("y".into());
-        assert!(intersect_atom_sets(&c1, &c2, &mut var_eq).is_some());
-        assert!(intersect_atom_sets(&c1, &c3, &mut var_eq).is_none());
+        assert!(intersect_atom_sets(&c1, &c2, &mut var_eq, &PosMemo::new()).is_some());
+        assert!(intersect_atom_sets(&c1, &c3, &mut var_eq, &PosMemo::new()).is_none());
         let w0: AtomSet<Var> = AtomSet::Whole(Var(0));
         let w1: AtomSet<Var> = AtomSet::Whole(Var(1));
-        assert!(intersect_atom_sets(&w0, &w0.clone(), &mut var_eq).is_some());
-        assert!(intersect_atom_sets(&w0, &w1, &mut var_eq).is_none());
-        assert!(intersect_atom_sets(&c1, &w0, &mut var_eq).is_none());
+        assert!(intersect_atom_sets(&w0, &w0.clone(), &mut var_eq, &PosMemo::new()).is_some());
+        assert!(intersect_atom_sets(&w0, &w1, &mut var_eq, &PosMemo::new()).is_none());
+        assert!(intersect_atom_sets(&c1, &w0, &mut var_eq, &PosMemo::new()).is_none());
     }
 
     #[test]
     fn empty_outputs_intersect_to_empty_program() {
         let d1 = gen(&["a"], "");
         let d2 = gen(&["b"], "");
-        let inter = intersect_dags(&d1, &d2, &mut var_eq).unwrap();
+        let inter = intersect_dags(&d1, &d2, &mut var_eq, &PosMemo::new()).unwrap();
         assert_eq!(
             inter.count_programs(&mut |_| BigUint::one()).to_u64(),
             Some(1)

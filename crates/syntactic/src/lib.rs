@@ -46,11 +46,7 @@ pub use compiled::{eval_compiled_pos, CompiledPos, RunsBuf, TokenPlan};
 pub use dag::{AtomSet, Dag, PosSet};
 pub use eval::{eval_atom, eval_expr, eval_on_state, eval_pos, eval_pos_with_runs};
 pub use generate::{generate_dag, generate_dag_prepared, GenOptions, PreparedSources};
-pub use intersect::{
-    intersect_atom_sets, intersect_atom_sets_memo, intersect_dags, intersect_dags_memo,
-    intersect_dags_memo_unpruned, intersect_pos_lists, intersect_pos_sets, product_path_masks,
-    PosMemo, ProductMasks,
-};
+pub use intersect::{intersect_dags, intersect_dags_unpruned, PosMemo};
 pub use language::{AtomicExpr, PosExpr, RegexSeq, StringExpr, Var, VarId};
 pub use matches::Matcher;
 pub use positions::PositionLearner;
@@ -62,7 +58,7 @@ use sst_counting::BigUint;
 /// Stand-alone synthesizer for the pure syntactic language `Ls`.
 ///
 /// (The full semantic synthesizer lives in `sst-core`; this front-end is the
-/// `Lt`-free baseline and the workhorse of the `Ls`-only tests/benches.)
+/// `Lt`-free baseline and the workhorse of the `Ls`-only tests.)
 #[derive(Debug, Clone, Default)]
 pub struct SyntacticLearner {
     /// Generation options (token set, context length bound).
@@ -88,7 +84,12 @@ impl SyntacticLearner {
         let mut dag = self.generate(first_in, first_out);
         for (inputs, output) in iter {
             let next = self.generate(inputs, output);
-            dag = intersect_dags(&dag, &next, &mut |a: &Var, b: &Var| (a == b).then_some(*a))?;
+            dag = intersect_dags(
+                &dag,
+                &next,
+                &mut |a: &Var, b: &Var| (a == b).then_some(*a),
+                &PosMemo::new(),
+            )?;
         }
         Some(LearnedSyntactic {
             dag,

@@ -9,8 +9,8 @@ use proptest::prelude::*;
 
 use sst_counting::BigUint;
 use sst_syntactic::{
-    eval_expr, eval_pos_with_runs, generate_dag, intersect_dags, GenOptions, PositionLearner,
-    StringRuns, SyntacticLearner, TokenSet, Var,
+    eval_expr, eval_pos_with_runs, generate_dag, intersect_dags, GenOptions, PosMemo,
+    PositionLearner, StringRuns, SyntacticLearner, TokenSet, Var,
 };
 
 fn ascii() -> impl Strategy<Value = String> {
@@ -75,9 +75,12 @@ proptest! {
         let opts = GenOptions::default();
         let d1 = generate_dag(&[(Var(0), in1.as_str())], &out1, &opts);
         let d2 = generate_dag(&[(Var(0), in2.as_str())], &out2, &opts);
-        let Some(inter) = intersect_dags(&d1, &d2, &mut |a: &Var, b: &Var| {
-            (a == b).then_some(*a)
-        }) else {
+        let Some(inter) = intersect_dags(
+            &d1,
+            &d2,
+            &mut |a: &Var, b: &Var| (a == b).then_some(*a),
+            &PosMemo::new(),
+        ) else {
             return Ok(());
         };
         for prog in inter.enumerate_programs(60) {
@@ -134,9 +137,12 @@ proptest! {
         let opts = GenOptions::default();
         let output: String = input.chars().rev().collect();
         let dag = generate_dag(&[(Var(0), input.as_str())], &output, &opts);
-        let inter = intersect_dags(&dag, &dag, &mut |a: &Var, b: &Var| {
-            (a == b).then_some(*a)
-        })
+        let inter = intersect_dags(
+            &dag,
+            &dag,
+            &mut |a: &Var, b: &Var| (a == b).then_some(*a),
+            &PosMemo::new(),
+        )
         .expect("nonempty");
         prop_assert_eq!(
             dag.count_programs(&mut |_| BigUint::one()),

@@ -189,9 +189,9 @@
 //! README for a `curl` transcript. `tests/server_equivalence.rs` replays
 //! the 50-task suite over real sockets and asserts the response bodies
 //! are byte-identical to encoding the in-process results;
-//! `crates/bench/src/bin/traffic_replay.rs` drives 1000+ concurrent
-//! sessions against one server and records latency quantiles and cache
-//! hit rates into `BENCH_PR8.json`.
+//! `tests/served_traffic.rs` drives the suite's conversations over the
+//! wire from concurrent clients and checks them against the in-process
+//! replay.
 //!
 //! # Mutating tables at scale
 //!
