@@ -21,10 +21,12 @@
 //! # Mutating tables at scale
 //!
 //! Tables are stored **columnar** (one contiguous `Vec<Symbol>` per
-//! column) and are mutable in place: [`Database::insert_rows`],
-//! [`Database::update_cell`] and [`Database::delete_rows`] maintain the
-//! [`ValueIndex`], the [`SubstringIndex`] postings and the per-column
-//! probe maps *incrementally*, so a single-row write into a 10⁵–10⁶-row
+//! column) and are mutable in place. Each [`Table`] owns its
+//! [`ValueIndex`] (which also answers the `Select` evaluator's
+//! (column, value) probe) and its [`SubstringIndex`], and
+//! [`Database::insert_rows`], [`Database::update_cell`] and
+//! [`Database::delete_rows`] route through the table, which maintains
+//! both *incrementally*, so a single-row write into a 10⁵–10⁶-row
 //! background table costs microseconds instead of an index rebuild.
 //! Deletes tombstone rows (ids stay stable) until garbage dominates, then
 //! compact. Every mutation draws a globally fresh [`Database::epoch`] and

@@ -6,7 +6,7 @@
 //! running two `contains` checks per cell — the dominant remaining cost of
 //! `GenerateStr_u` after the interned value plane landed. This index
 //! precomputes postings over each table's distinct values once, at
-//! [`crate::Database`] construction (alongside [`crate::ValueIndex`]), so a
+//! [`crate::Table`] construction (alongside [`crate::ValueIndex`]), so a
 //! probe touches work proportional to `|s|` and the candidate set instead of
 //! the table size — the same move BlinkFill's `InputDataGraph` makes for its
 //! substring queries.

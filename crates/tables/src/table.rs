@@ -4,8 +4,10 @@ use std::collections::HashSet;
 use std::fmt;
 
 use crate::error::TableError;
-use crate::intern::{IntMap, Symbol};
+use crate::intern::Symbol;
 use crate::keys;
+use crate::substring_index::SubstringIndex;
+use crate::value_index::ValueIndex;
 
 /// Column index within a table.
 pub type ColId = u32;
@@ -34,10 +36,9 @@ pub struct CellRef {
 /// so whole-column scans (`cells_related_to`, the compiled `Op::Probe`
 /// probe-map build) stream u32 symbol ids at memory bandwidth instead of
 /// chasing one heap allocation per row. Every cell is an interned
-/// [`Symbol`], so cloning a table is cheap and cell equality is an integer
-/// compare. Candidate keys are *ordered* column lists — the ordering
-/// matters because the paper's `Intersect_t` intersects key predicates
-/// positionally (Fig. 5b).
+/// [`Symbol`], so cell equality is an integer compare. Candidate keys are
+/// *ordered* column lists — the ordering matters because the paper's
+/// `Intersect_t` intersects key predicates positionally (Fig. 5b).
 ///
 /// # Mutation and row ids
 ///
@@ -53,6 +54,16 @@ pub struct CellRef {
 /// re-checked on mutation: a mutated table may transiently violate a key,
 /// and [`Table::find_unique_row`] already scans defensively, answering
 /// `None` on ambiguity.
+///
+/// # Derived indexes
+///
+/// The table owns the two indexes over its live cells: a [`ValueIndex`]
+/// (value → cells, which answers both `GenerateStr_t`'s "which cells hold
+/// this value" and the `Select` evaluator's (column, value) probe) and a
+/// [`SubstringIndex`] (the §5.3 substring relation). Construction builds
+/// them, every mutation maintains them incrementally, and
+/// [`Table::compact`] rebuilds them, so they always answer like a fresh
+/// build over the live rows.
 #[derive(Debug, Clone)]
 pub struct Table {
     name: String,
@@ -64,11 +75,10 @@ pub struct Table {
     /// Number of live slots (`live.iter().filter(|l| **l).count()`).
     live_rows: usize,
     candidate_keys: Vec<Vec<ColId>>,
-    /// `(column, value)` → live rows holding it, ascending — the `Select`
-    /// evaluator's probe ([`Table::find_unique_row_sym`]). Maintained
-    /// incrementally by every mutation; entries whose last row disappears
-    /// are removed, so the map always equals a fresh build's.
-    col_postings: IntMap<(ColId, Symbol), Vec<RowId>>,
+    /// Value → live cells holding it, ascending by (row, col).
+    values: ValueIndex,
+    /// Substring-relation postings over the live values.
+    substrings: SubstringIndex,
 }
 
 impl Table {
@@ -172,8 +182,8 @@ impl Table {
     /// Key columns are bounds-checked but **not** re-verified for
     /// uniqueness: a snapshotted table may have been mutated past a
     /// declared key (in-place mutation never re-checks keys either), and
-    /// [`Table::find_unique_row`] already scans defensively. All derived
-    /// state (postings, value/substring indexes) is rebuilt from the rows.
+    /// [`Table::find_unique_row`] already scans defensively. The value and
+    /// substring indexes are rebuilt from the rows.
     pub fn from_parts(
         name: String,
         columns: Vec<String>,
@@ -239,43 +249,28 @@ impl Table {
             live: vec![true; n_rows],
             live_rows: n_rows,
             candidate_keys: Vec::new(),
-            col_postings: IntMap::default(),
+            values: ValueIndex::default(),
+            substrings: SubstringIndex::default(),
         };
-        table.rebuild_postings();
+        table.rebuild_indexes();
         Ok(table)
     }
 
-    fn rebuild_postings(&mut self) {
-        self.col_postings.clear();
-        for r in 0..self.live.len() {
-            if !self.live[r] {
-                continue;
-            }
-            for (c, col) in self.cols.iter().enumerate() {
-                self.col_postings
-                    .entry((c as ColId, col[r]))
-                    .or_default()
-                    .push(r as RowId);
-            }
-        }
+    fn rebuild_indexes(&mut self) {
+        self.values = ValueIndex::build(self);
+        self.substrings = SubstringIndex::build(self);
     }
 
-    fn posting_insert(&mut self, col: ColId, value: Symbol, row: RowId) {
-        let list = self.col_postings.entry((col, value)).or_default();
-        if let Err(pos) = list.binary_search(&row) {
-            list.insert(pos, row);
-        }
+    /// Records in both indexes that live cell `(col, row)` holds `v`.
+    fn index_cell(&mut self, col: ColId, row: RowId, v: Symbol) {
+        self.values.insert_cell(v, CellRef { col, row });
+        self.substrings.insert_value(v);
     }
 
-    fn posting_remove(&mut self, col: ColId, value: Symbol, row: RowId) {
-        if let Some(list) = self.col_postings.get_mut(&(col, value)) {
-            if let Ok(pos) = list.binary_search(&row) {
-                list.remove(pos);
-            }
-            if list.is_empty() {
-                self.col_postings.remove(&(col, value));
-            }
-        }
+    /// Records in both indexes that cell `(col, row)` no longer holds `v`.
+    fn unindex_cell(&mut self, col: ColId, row: RowId, v: Symbol) {
+        self.values.remove_cell(v, CellRef { col, row });
+        self.substrings.remove_value(v);
     }
 
     fn check_live(&self, row: RowId) -> Result<(), TableError> {
@@ -291,8 +286,9 @@ impl Table {
         Ok(())
     }
 
-    /// Appends rows, returning their (stable) row ids. Validates the whole
-    /// batch first, so a ragged batch mutates nothing.
+    /// Appends rows, returning their (stable) row ids, and indexes their
+    /// cells. Validates the whole batch first, so a ragged batch mutates
+    /// nothing.
     pub fn insert_rows<R: Into<String>>(
         &mut self,
         rows: Vec<Vec<R>>,
@@ -319,20 +315,16 @@ impl Table {
             self.live_rows += 1;
             for (c, &v) in row.iter().enumerate() {
                 self.cols[c].push(v);
-                // A fresh slot id exceeds every existing id, so a plain
-                // push keeps the posting list ascending.
-                self.col_postings
-                    .entry((c as ColId, v))
-                    .or_default()
-                    .push(r);
+                self.index_cell(c as ColId, r, v);
             }
             ids.push(r);
         }
         Ok(ids)
     }
 
-    /// Overwrites one live cell, returning the previous value. Writing the
-    /// value already present is a no-op (the old value is still returned).
+    /// Overwrites one live cell and re-indexes it, returning the previous
+    /// value. Writing the value already present is a no-op (the old value
+    /// is still returned).
     pub fn update_cell(
         &mut self,
         col: ColId,
@@ -352,16 +344,15 @@ impl Table {
             return Ok(old);
         }
         self.cols[col as usize][row as usize] = new;
-        self.posting_remove(col, old, row);
-        self.posting_insert(col, new, row);
+        self.unindex_cell(col, row, old);
+        self.index_cell(col, row, new);
         Ok(old)
     }
 
-    /// Tombstones rows, returning each removed row's cells (callers
-    /// maintaining derived indexes need the pre-removal values). Validates
-    /// the whole batch — including in-batch duplicates — before touching
-    /// anything, so an invalid batch mutates nothing. Slots stay allocated
-    /// until [`Table::compact`].
+    /// Tombstones rows and un-indexes their cells, returning each removed
+    /// row's cells. Validates the whole batch — including in-batch
+    /// duplicates — before touching anything, so an invalid batch mutates
+    /// nothing. Slots stay allocated until [`Table::compact`].
     pub fn delete_rows(&mut self, rows: &[RowId]) -> Result<Vec<(RowId, Vec<Symbol>)>, TableError> {
         let mut seen = HashSet::with_capacity(rows.len());
         for &r in rows {
@@ -374,7 +365,7 @@ impl Table {
         for &r in rows {
             let vals: Vec<Symbol> = self.cols.iter().map(|col| col[r as usize]).collect();
             for (c, &v) in vals.iter().enumerate() {
-                self.posting_remove(c as ColId, v, r);
+                self.unindex_cell(c as ColId, r, v);
             }
             self.live[r as usize] = false;
             self.live_rows -= 1;
@@ -392,9 +383,8 @@ impl Table {
     }
 
     /// Rewrites the columns densely, dropping tombstoned slots. Live rows
-    /// keep their relative order but are **renumbered**; per-column
-    /// postings are rebuilt. Callers holding derived per-row state (the
-    /// database's value/substring indexes) must rebuild it. Returns whether
+    /// keep their relative order but are **renumbered**, and the value and
+    /// substring indexes are rebuilt over the new row ids. Returns whether
     /// anything moved.
     pub fn compact(&mut self) -> bool {
         if self.live_rows == self.live.len() {
@@ -412,7 +402,7 @@ impl Table {
             col.shrink_to_fit();
         }
         self.live = vec![true; self.live_rows];
-        self.rebuild_postings();
+        self.rebuild_indexes();
         true
     }
 
@@ -448,11 +438,6 @@ impl Table {
         self.live.len()
     }
 
-    /// Whether a row id names a live (in-range, non-tombstoned) row.
-    pub fn is_live(&self, row: RowId) -> bool {
-        (row as usize) < self.live.len() && self.live[row as usize]
-    }
-
     /// Live row ids, ascending (original insertion order).
     pub fn row_ids(&self) -> impl Iterator<Item = RowId> + '_ {
         (0..self.live.len() as RowId).filter(move |&r| self.live[r as usize])
@@ -482,20 +467,14 @@ impl Table {
         self.cols[col as usize][row as usize]
     }
 
-    /// A full row as interned cells (gathered across the column arrays).
-    pub fn row(&self, row: RowId) -> Vec<Symbol> {
-        self.cols.iter().map(|col| col[row as usize]).collect()
+    /// The table's value index: every live cell, keyed by its value.
+    pub fn value_index(&self) -> &ValueIndex {
+        &self.values
     }
 
-    /// Live rows holding `value` in `col`, ascending — the raw posting
-    /// list behind [`Table::find_unique_row_sym`], exposed so differential
-    /// tests can compare incrementally-maintained postings against a fresh
-    /// build's.
-    pub fn rows_with(&self, col: ColId, value: Symbol) -> &[RowId] {
-        self.col_postings
-            .get(&(col, value))
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
+    /// The table's substring index over its live values.
+    pub fn substring_index(&self) -> &SubstringIndex {
+        &self.substrings
     }
 
     /// Iterates every live cell as `(CellRef, &str)`, row-major.
@@ -527,9 +506,8 @@ impl Table {
     ///
     /// This scan is the correctness *oracle* for the production query: the
     /// `GenerateStr_u` hot path asks [`crate::Database::cells_related_to`]
-    /// instead, which answers from the precomputed
-    /// [`crate::SubstringIndex`] postings. The property tests pin the two
-    /// to identical answer sets.
+    /// instead, which answers from the table's [`SubstringIndex`]. The
+    /// property tests pin the two to identical answer sets.
     #[inline]
     pub fn cells_related_to<'a>(
         &'a self,
@@ -572,9 +550,10 @@ impl Table {
 
     /// [`Table::find_unique_row`] over interned probe values.
     ///
-    /// Probes the per-column posting map: candidate rows come from the
-    /// first condition's postings (O(matches) instead of O(rows), and only
-    /// live rows — tombstoned rows leave the postings on delete), the
+    /// Probes the value index: candidate rows are the first condition's
+    /// value's cells that lie in its column (O(matches) instead of
+    /// O(rows), and only live rows — tombstoned cells leave the index on
+    /// delete; the (row, col) order makes them ascend by row), the
     /// remaining conditions are integer compares per candidate, and the
     /// defensive ambiguity check is preserved — two matching rows still
     /// return `None`.
@@ -588,9 +567,13 @@ impl Table {
                 None
             };
         };
-        let candidates = self.col_postings.get(first)?;
+        let (col, value) = *first;
+        let candidates = self.values.cells_equal(value).iter();
         let mut found: Option<RowId> = None;
-        for &r in candidates {
+        for r in candidates
+            .filter(|cell| cell.col == col)
+            .map(|cell| cell.row)
+        {
             if rest
                 .iter()
                 .all(|(c, v)| self.cols[*c as usize][r as usize] == *v)
@@ -682,10 +665,7 @@ mod tests {
         assert_eq!(t.column_id("Name"), Some(1));
         assert_eq!(t.column_id("Nope"), None);
         assert_eq!(t.column_name(0), "Id");
-        assert_eq!(
-            t.row(1),
-            vec![Symbol::intern("c2"), Symbol::intern("Google")]
-        );
+        assert_eq!(t.cell_sym(0, 1), Symbol::intern("c2"));
     }
 
     #[test]
@@ -743,6 +723,8 @@ mod tests {
         let t = comp_table();
         assert_eq!(t.find_unique_row(&[(0, "c2")]), Some(1));
         assert_eq!(t.find_unique_row(&[(0, "c9")]), None);
+        // "c2" is a cell of column 0 only.
+        assert_eq!(t.find_unique_row(&[(1, "c2")]), None);
         assert_eq!(t.find_unique_row(&[(0, "c2"), (1, "Google")]), Some(1));
         assert_eq!(t.find_unique_row(&[(0, "c2"), (1, "Apple")]), None);
     }
@@ -751,7 +733,7 @@ mod tests {
     fn find_unique_row_rejects_ambiguity() {
         let t = Table::new("T", vec!["A", "B"], vec![vec!["x", "1"], vec!["y", "1"]]).unwrap();
         assert_eq!(t.find_unique_row(&[(1, "1")]), None);
-        // Ambiguity on the posting-probed first condition, disambiguated by
+        // Ambiguity on the index-probed first condition, disambiguated by
         // a later condition.
         assert_eq!(
             t.find_unique_row_sym(&[(1, Symbol::intern("1")), (0, Symbol::intern("y"))]),
@@ -829,7 +811,7 @@ mod tests {
         assert_eq!(t.len(), 5);
         assert_eq!(t.cell(1, 4), "Meta");
         assert_eq!(t.find_unique_row(&[(0, "c4")]), Some(3));
-        assert_eq!(t.rows_with(1, Symbol::intern("Amazon")), &[3]);
+        assert_eq!(t.find_unique_row(&[(1, "Amazon")]), Some(3));
         // A ragged batch mutates nothing.
         let before = t.clone();
         assert!(t.insert_rows(vec![vec!["c6", "X"], vec!["short"]]).is_err());
@@ -837,14 +819,17 @@ mod tests {
     }
 
     #[test]
-    fn update_cell_moves_postings() {
+    fn update_cell_moves_index_entries() {
         let mut t = comp_table();
         let old = t.update_cell(1, 1, "Alphabet").unwrap();
         assert_eq!(old.as_str(), "Google");
         assert_eq!(t.cell(1, 1), "Alphabet");
         assert_eq!(t.find_unique_row(&[(1, "Alphabet")]), Some(1));
         assert_eq!(t.find_unique_row(&[(1, "Google")]), None);
-        assert!(t.rows_with(1, Symbol::intern("Google")).is_empty());
+        assert!(t
+            .value_index()
+            .cells_equal(Symbol::intern("Google"))
+            .is_empty());
         // No-op update returns the (unchanged) old value.
         assert_eq!(
             t.update_cell(1, 1, "Alphabet").unwrap().as_str(),
@@ -870,7 +855,6 @@ mod tests {
         assert_eq!(removed[0].1[1].as_str(), "Google");
         assert_eq!(t.len(), 2);
         assert_eq!(t.slots(), 3);
-        assert!(!t.is_live(1));
         assert_eq!(t.find_unique_row(&[(0, "c2")]), None);
         assert_eq!(t.row_ids().collect::<Vec<_>>(), vec![0, 2]);
         // Observables skip the tombstone.
@@ -924,15 +908,23 @@ mod tests {
     }
 
     #[test]
-    fn mutated_postings_match_fresh_build() {
+    fn mutated_index_matches_fresh_build() {
         let mut t = comp_table();
         t.insert_rows(vec![vec!["c4", "Google"]]).unwrap();
         t.update_cell(1, 0, "Google").unwrap();
         t.delete_rows(&[2]).unwrap();
         // Live rows: (c1,Google), (c2,Google), (c4,Google) — Apple gone.
-        assert_eq!(t.rows_with(1, Symbol::intern("Google")), &[0, 1, 3]);
-        assert!(t.rows_with(1, Symbol::intern("Microsoft")).is_empty());
-        assert!(t.rows_with(1, Symbol::intern("Apple")).is_empty());
+        let google: Vec<RowId> = t
+            .value_index()
+            .cells_equal(Symbol::intern("Google"))
+            .iter()
+            .map(|cell| cell.row)
+            .collect();
+        assert_eq!(google, vec![0, 1, 3]);
+        assert_eq!(t.find_unique_row(&[(1, "Google")]), None, "ambiguous");
+        assert_eq!(t.find_unique_row(&[(1, "Google"), (0, "c4")]), Some(3));
+        // Vacated "Microsoft" and "Apple" are gone, as in a fresh build.
+        assert_eq!(t.value_index(), &ValueIndex::build(&t));
         t.compact();
         let fresh = Table::with_keys(
             "Comp",
@@ -946,11 +938,38 @@ mod tests {
         )
         .unwrap();
         // Candidate keys were frozen at construction, so compare the
-        // contents and the posting answers, not whole-table equality.
+        // contents and the indexes, not whole-table equality.
         assert_eq!(t.to_csv(), fresh.to_csv());
-        assert_eq!(
-            t.rows_with(1, Symbol::intern("Google")),
-            fresh.rows_with(1, Symbol::intern("Google"))
-        );
+        assert_eq!(t.value_index(), fresh.value_index());
+    }
+
+    #[test]
+    fn standalone_table_maintains_its_indexes() {
+        // No `Database`: the table alone keeps its indexes equal to a fresh
+        // build through inserts, updates, deletes and compaction.
+        let rows: Vec<Vec<String>> = (0..40)
+            .map(|i| vec![format!("k{i}"), format!("v{}", i % 7)])
+            .collect();
+        let mut t = Table::new("T", vec!["K", "V"], rows).unwrap();
+        let ids = t
+            .insert_rows(vec![vec!["k40", "fresh"], vec!["k41", "v3"]])
+            .unwrap();
+        t.update_cell(1, ids[0], "v1").unwrap();
+        t.update_cell(1, 2, "renamed").unwrap();
+        let doomed: Vec<RowId> = (5..40).collect();
+        t.delete_rows(&doomed).unwrap();
+        assert!(t.should_compact(), "35 dead > 7 live and over the floor");
+        assert!(t.compact());
+        assert_eq!(t.slots(), t.len());
+        assert_eq!(t.value_index(), &ValueIndex::build(&t));
+        let fresh = SubstringIndex::build(&t);
+        for probe in ["v1", "v", "renamed", "fresh", "k41 v3", "k", "zz"] {
+            let mut got = t.substring_index().related_values(probe);
+            let mut want = fresh.related_values(probe);
+            got.sort_unstable();
+            want.sort_unstable();
+            assert_eq!(got, want, "probe {probe:?}");
+        }
+        assert_eq!(t.find_unique_row(&[(0, "k41")]), Some(6));
     }
 }

@@ -126,32 +126,19 @@ mod tests {
 
     #[test]
     fn incremental_edits_equal_rebuild() {
+        // The table maintains its own index through `insert_cell` and
+        // `remove_cell`.
         let mut table = t();
-        let mut idx = ValueIndex::build(&table);
-        // Insert a row.
-        let ids = table.insert_rows(vec![vec!["y", "w"]]).unwrap();
-        let r = ids[0];
-        idx.insert_cell(Symbol::intern("y"), CellRef { col: 0, row: r });
-        idx.insert_cell(Symbol::intern("w"), CellRef { col: 1, row: r });
-        assert_eq!(idx, ValueIndex::build(&table));
-        // Update a cell.
-        let old = table.update_cell(1, 0, "q").unwrap();
-        idx.remove_cell(old, CellRef { col: 1, row: 0 });
-        idx.insert_cell(Symbol::intern("q"), CellRef { col: 1, row: 0 });
-        assert_eq!(idx, ValueIndex::build(&table));
+        table.insert_rows(vec![vec!["y", "w"]]).unwrap();
+        assert_eq!(table.value_index(), &ValueIndex::build(&table));
+        table.update_cell(1, 0, "q").unwrap();
+        assert_eq!(table.value_index(), &ValueIndex::build(&table));
         // Delete a row; the vacated value "z" leaves the map.
-        for (r, vals) in table.delete_rows(&[1]).unwrap() {
-            for (c, v) in vals.into_iter().enumerate() {
-                idx.remove_cell(
-                    v,
-                    CellRef {
-                        col: c as ColId,
-                        row: r,
-                    },
-                );
-            }
-        }
-        assert_eq!(idx, ValueIndex::build(&table));
-        assert!(idx.cells_equal(Symbol::intern("z")).is_empty());
+        table.delete_rows(&[1]).unwrap();
+        assert_eq!(table.value_index(), &ValueIndex::build(&table));
+        assert!(table
+            .value_index()
+            .cells_equal(Symbol::intern("z"))
+            .is_empty());
     }
 }

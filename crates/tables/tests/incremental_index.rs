@@ -1,16 +1,18 @@
 //! Differential harness for the incremental index plane.
 //!
 //! Every row-level mutation path — insert, update, delete, and the
-//! tombstone-compaction fallback — must leave the three incrementally
-//! maintained structures answering **identically** to structures rebuilt
-//! from scratch over the same mutated table:
+//! tombstone-compaction fallback — must leave each table's incrementally
+//! maintained indexes answering **identically** to indexes rebuilt from
+//! scratch over the same mutated table:
 //!
-//! * the [`ValueIndex`] (compared structurally — rebuild from the same
-//!   table yields the same row ids, so `PartialEq` is exact);
-//! * the [`SubstringIndex`] (compared at the *answer* level — sorted
-//!   `related_values` over a probe set — because dense internal ids
+//! * the table's [`ValueIndex`] (compared structurally — rebuild from the
+//!   same table yields the same row ids, so `PartialEq` is exact);
+//! * the table's [`SubstringIndex`] (compared at the *answer* level —
+//!   sorted `related_values` over a probe set — because dense internal ids
 //!   legitimately diverge after delete/reinsert churn);
-//! * the per-column postings (compared against a live-row scan oracle).
+//! * [`Table::find_unique_row_sym`], the `Select` probe the value index
+//!   answers (compared against a live-row scan oracle: `Some(r)` exactly
+//!   when the scan finds the one row `r`).
 //!
 //! A scripted walk pins each mutation path deterministically (this is the
 //! harness CI names), and a property test replays random
@@ -18,7 +20,7 @@
 //! reusing the oracle pattern from the substring-index tests.
 
 use proptest::prelude::*;
-use sst_tables::{ColId, Database, SubstringIndex, Table, ValueIndex};
+use sst_tables::{ColId, Database, RowId, SubstringIndex, Symbol, Table, ValueIndex};
 
 /// Grams and degenerate probes every answer-level comparison includes on
 /// top of the values currently (or ever) in the table.
@@ -38,6 +40,26 @@ const FIXED_PROBES: &[&str] = &[
     "b\u{20ac}",
 ];
 
+/// Asserts `find_unique_row_sym(conds)` answers like a live-row scan.
+fn check_unique_row(t: &Table, conds: &[(ColId, Symbol)]) -> Result<(), String> {
+    let scan: Vec<RowId> = t
+        .row_ids()
+        .filter(|&r| conds.iter().all(|&(c, v)| t.cell_sym(c, r) == v))
+        .collect();
+    let want = match scan.as_slice() {
+        [r] => Some(*r),
+        _ => None,
+    };
+    let got = t.find_unique_row_sym(conds);
+    if got != want {
+        return Err(format!(
+            "table {}: find_unique_row_sym({conds:?}) = {got:?}, scan finds {scan:?}",
+            t.name()
+        ));
+    }
+    Ok(())
+}
+
 /// Asserts every table's incrementally-maintained indexes are equivalent
 /// to from-scratch rebuilds. `extra_probes` should hold every cell value
 /// the mutation history ever touched, so vacated values are probed too.
@@ -45,11 +67,11 @@ fn check_matches_rebuild(db: &Database, extra_probes: &[String]) -> Result<(), S
     for (id, t) in db.iter() {
         // Value index: exact structural equality with a fresh build.
         let fresh_vidx = ValueIndex::build(t);
-        if *db.value_index(id) != fresh_vidx {
+        if *t.value_index() != fresh_vidx {
             return Err(format!(
                 "table {id} ({}): incremental ValueIndex != rebuilt\n incremental: {:?}\n rebuilt: {:?}",
                 t.name(),
-                db.value_index(id),
+                t.value_index(),
                 fresh_vidx
             ));
         }
@@ -59,11 +81,11 @@ fn check_matches_rebuild(db: &Database, extra_probes: &[String]) -> Result<(), S
         let fresh_sub = SubstringIndex::build(t);
         let mut probes: Vec<String> = extra_probes.to_vec();
         probes.extend(FIXED_PROBES.iter().map(|s| s.to_string()));
-        probes.extend(db.value_index(id).distinct_values().map(str::to_string));
+        probes.extend(t.value_index().distinct_values().map(str::to_string));
         probes.sort_unstable();
         probes.dedup();
         for p in &probes {
-            let mut got = db.substring_index(id).related_values(p);
+            let mut got = t.substring_index().related_values(p);
             let mut want = fresh_sub.related_values(p);
             got.sort_unstable();
             want.sort_unstable();
@@ -75,22 +97,29 @@ fn check_matches_rebuild(db: &Database, extra_probes: &[String]) -> Result<(), S
             }
         }
 
-        // Column postings: live-row scan oracle, over every value present
-        // in each column.
+        // Select probe: live-row scan oracle, over every value present in
+        // each column and every vacated value, in every column.
+        let vacated: Vec<Symbol> = extra_probes.iter().filter_map(|p| Symbol::get(p)).collect();
         for c in 0..t.width() as ColId {
-            let mut vals: Vec<_> = t.row_ids().map(|r| t.cell_sym(c, r)).collect();
+            let mut vals: Vec<Symbol> = t.row_ids().map(|r| t.cell_sym(c, r)).collect();
+            vals.extend_from_slice(&vacated);
             vals.sort_unstable();
             vals.dedup();
             for v in vals {
-                let want: Vec<_> = t.row_ids().filter(|&r| t.cell_sym(c, r) == v).collect();
-                if t.rows_with(c, v) != want.as_slice() {
-                    return Err(format!(
-                        "table {id} ({}): rows_with({c}, {:?}) = {:?}, scan says {want:?}",
-                        t.name(),
-                        v.as_str(),
-                        t.rows_with(c, v)
-                    ));
-                }
+                check_unique_row(t, &[(c, v)])?;
+            }
+        }
+        // Two conditions per row: the first key column plus one other
+        // column, in both orders (the first condition picks candidates).
+        // A one-column table has no second column to pair with.
+        let key = t.candidate_keys()[0][0];
+        let width = t.width() as ColId;
+        if width > 1 {
+            for r in t.row_ids() {
+                let other = (key + 1 + r % (width - 1)) % width;
+                let pair = [(key, t.cell_sym(key, r)), (other, t.cell_sym(other, r))];
+                check_unique_row(t, &pair)?;
+                check_unique_row(t, &[pair[1], pair[0]])?;
             }
         }
     }
@@ -193,8 +222,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Random insert/update/delete sequences (NUL, 2/3/4-byte unicode and
-    /// short-gram cells) leave all three index structures equivalent to a
-    /// from-scratch rebuild after **every** op.
+    /// short-gram cells) leave both indexes and the `Select` probe
+    /// equivalent to a from-scratch rebuild after **every** op.
     #[test]
     fn random_mutation_sequences_match_rebuild(
         kinds in prop::collection::vec(0u8..3, 24..25),
