@@ -26,6 +26,8 @@
 //! it builds a fresh arena only when a snapshot is written (or its arena
 //! stats are read), and a restore extracts the trees and drops the arena.
 
+#![forbid(unsafe_code)]
+
 use std::hash::Hash;
 
 use sst_lookup::NodeId;

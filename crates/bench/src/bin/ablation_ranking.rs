@@ -15,6 +15,8 @@
 //! * `cheap-deep-selects` — nested `Select`s cost nothing (drops the
 //!   "smaller depth" preference of §4.4).
 
+#![forbid(unsafe_code)]
+
 use sst_benchmarks::all_tasks;
 use sst_core::{converge, LuRankWeights, SynthesisOptions, Synthesizer};
 

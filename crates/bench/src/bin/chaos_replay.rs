@@ -34,6 +34,8 @@
 //!   `cargo run --release -p sst-bench --bin chaos_replay -- --smoke`
 //!   `... -- --sessions 500 --fault-rate-ppm 120000 --seed 7`
 
+#![forbid(unsafe_code)]
+
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};

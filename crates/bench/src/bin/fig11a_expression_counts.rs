@@ -1,6 +1,8 @@
 //! Figure 11(a): number of expressions consistent with the provided
 //! examples, per benchmark (paper: typically 10^10 to 10^30).
 
+#![forbid(unsafe_code)]
+
 use sst_bench::evaluate_suite;
 
 fn main() {

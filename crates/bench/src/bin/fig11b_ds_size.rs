@@ -2,6 +2,8 @@
 //! expressions, per benchmark (paper: roughly 10² to 2·10³ terminal
 //! symbols).
 
+#![forbid(unsafe_code)]
+
 use sst_bench::evaluate_suite;
 
 fn main() {

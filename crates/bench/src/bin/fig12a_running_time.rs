@@ -1,6 +1,8 @@
 //! Figure 12(a): running time of synthesis per benchmark, sorted ascending
 //! (paper: 88% of tasks < 1 s, 96% < 2 s on a 2010-era laptop).
 
+#![forbid(unsafe_code)]
+
 use sst_bench::{evaluate_suite, secs};
 
 fn main() {

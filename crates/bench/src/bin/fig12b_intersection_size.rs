@@ -4,6 +4,8 @@
 //! worst-case quadratic blowup of `Intersect_u` does not occur — size
 //! mostly *decreases*.
 
+#![forbid(unsafe_code)]
+
 use sst_bench::evaluate_suite;
 
 fn main() {

@@ -5,6 +5,8 @@
 //! for the reconstructed suite and exits non-zero if any task fails to
 //! converge (making it usable as a regression gate).
 
+#![forbid(unsafe_code)]
+
 use sst_bench::{evaluate_suite, MAX_EXAMPLES};
 
 fn main() {

@@ -6,6 +6,8 @@
 //! 12 lookup tasks (learn from ≤3 examples and generalize to every row)
 //! and fail on all 38 semantic ones.
 
+#![forbid(unsafe_code)]
+
 use sst_benchmarks::{all_tasks, Category};
 use sst_lookup::LookupLearner;
 

@@ -2,6 +2,8 @@
 //! consistent-program counts explode exponentially while the data
 //! structure stays polynomial (linear here).
 
+#![forbid(unsafe_code)]
+
 use sst_benchmarks::{chain_database, wide_key_database};
 use sst_counting::BigUint;
 use sst_lookup::{generate_str_t, LtOptions};

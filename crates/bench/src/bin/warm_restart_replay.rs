@@ -23,6 +23,8 @@
 //!   `cargo run --release -p sst-bench --bin warm_restart_replay -- --mode replay --snapshot-dir /tmp/snaps > replay.json`
 //!   `... -- --smoke` replays only the first 3 tasks of each category.
 
+#![forbid(unsafe_code)]
+
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Instant;

@@ -8,6 +8,8 @@
 //! size (Fig. 12b). The `src/bin/fig*` binaries print one paper artifact
 //! each from these reports.
 
+#![forbid(unsafe_code)]
+
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 

@@ -52,6 +52,8 @@
 //! );
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod arena_plane;
 mod cache;
 mod compiled;

@@ -1,31 +1,26 @@
-//! Scoped work-stealing pool for deterministic data parallelism.
+//! Scoped worker pool for deterministic data parallelism.
 //!
-//! The build container has no registry access, so this crate vendors the
-//! small slice of rayon the synthesis hot path needs: fan a fixed slice of
+//! The workspace takes no third-party dependencies, so this crate provides
+//! the one parallel primitive the engine uses: fan a fixed slice of
 //! independent work items over a bounded set of worker threads and collect
-//! the results **in input order**. Determinism is by construction — every
-//! item's result is written into its own pre-assigned output slot, so
-//! thread scheduling can only change *when* a slot is filled, never *which*
-//! value it holds or where it lands.
-//!
-//! Scheduling is lock-free range splitting (the classic Lazy Binary
-//! Splitting shape): each worker owns a contiguous index range packed into
-//! one `AtomicU64` (`head` in the high half, `tail` in the low half). The
-//! owner claims one index at a time by CAS from the head; an idle worker
-//! steals the *upper half* of the fullest remaining range by CAS on the
-//! tail and adopts it as its own. Skewed per-item costs therefore rebalance
-//! without a central queue, and a uniform workload degenerates to one CAS
-//! per item with zero contention.
+//! the results **in input order**. Its callers hand it a few items per
+//! call (one per batch request, or a handful of row chunks per
+//! `run_column`), so scheduling is plain self-scheduling: every worker
+//! claims the next index from one shared counter, keeps its
+//! `(index, result)` pairs, and the caller puts the pairs back in index
+//! order. Thread scheduling can only change *which worker* computes an
+//! item, never the value it yields or where it lands.
 //!
 //! Workers are spawned per call under [`std::thread::scope`], so borrowed
-//! (non-`'static`) captures flow into the closure and panics propagate to
-//! the caller on join. A [`Pool`] is just the configured width — creating
-//! one is free, and `threads <= 1` (or a single item) short-circuits to a
-//! plain serial loop with no atomics and no threads, reproducing the
-//! serial execution exactly.
+//! (non-`'static`) captures flow into the closure; a worker's panic
+//! resurfaces on the caller with its own payload. A [`Pool`] is just the
+//! configured width — creating one is free, and `threads <= 1` (or a
+//! single item) short-circuits to a plain serial loop with no atomics and
+//! no threads, reproducing the serial execution exactly.
 
-use std::mem::{ManuallyDrop, MaybeUninit};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+#![forbid(unsafe_code)]
+
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -40,10 +35,9 @@ pub fn default_threads() -> usize {
     })
 }
 
-/// A scoped worker pool: the configured width plus the scheduling
-/// primitives. Holds no threads — each [`Pool::par_map_indexed`] call
-/// spawns its workers under a [`std::thread::scope`] and joins them before
-/// returning.
+/// A scoped worker pool: just the configured width. Holds no threads —
+/// each [`Pool::par_map_indexed`] call spawns its workers under a
+/// [`std::thread::scope`] and joins them before returning.
 #[derive(Debug, Clone)]
 pub struct Pool {
     threads: usize,
@@ -76,99 +70,51 @@ impl Pool {
     /// `f(i, &items[i])` runs exactly once per index, on some worker; the
     /// output vector's slot `i` always holds that call's result, so the
     /// returned value is identical for every pool width (including the
-    /// serial `threads <= 1` path). A panic inside `f` aborts the map and
-    /// resurfaces on the caller; already-computed results are leaked, never
-    /// dropped half-built.
+    /// serial `threads <= 1` path). A panic inside `f` resurfaces on the
+    /// caller with its original payload once every worker has stopped.
     pub fn par_map_indexed<T, U, F>(&self, items: &[T], f: F) -> Vec<U>
     where
         T: Sync,
         U: Send,
         F: Fn(usize, &T) -> U + Sync,
     {
-        let len = items.len();
-        let workers = self.threads.min(len);
-        // The claiming protocol packs indices into u32 halves of one
-        // atomic word; beyond that the serial path is the only sound one
-        // (and a 4-billion-item map has bigger problems than threads).
-        if workers <= 1 || len > u32::MAX as usize {
+        let workers = self.threads.min(items.len());
+        if workers <= 1 {
             return items.iter().enumerate().map(|(i, x)| f(i, x)).collect();
         }
-
-        let mut results: Vec<MaybeUninit<U>> = Vec::with_capacity(len);
-        // SAFETY: `MaybeUninit` needs no initialization; the length is
-        // within the just-reserved capacity.
-        unsafe { results.set_len(len) };
-        let out = SlotWriter {
-            ptr: results.as_mut_ptr(),
-            len,
-        };
-
-        // Pre-split the index space into one contiguous range per worker.
-        let ranges: Vec<Range> = (0..workers)
-            .map(|w| {
-                let start = len * w / workers;
-                let end = len * (w + 1) / workers;
-                Range::new(start as u32, end as u32)
-            })
-            .collect();
-
-        std::thread::scope(|scope| {
-            for w in 0..workers {
-                let ranges = &ranges;
-                let out = &out;
-                let f = &f;
-                scope.spawn(move || {
-                    let own = w;
-                    loop {
-                        // Drain the owned range one index at a time.
-                        while let Some(i) = ranges[own].claim_one() {
-                            let i = i as usize;
-                            // SAFETY: every index is claimed exactly once
-                            // across all workers (ranges are disjoint and
-                            // stealing removes indices from the victim
-                            // before the thief sees them), so each slot is
-                            // written once.
-                            unsafe { out.write(i, f(i, &items[i])) };
+        // `Relaxed` suffices: the counter only hands out indices, and the
+        // results travel back to the caller through `join`.
+        let next = AtomicUsize::new(0);
+        let mut done: Vec<(usize, U)> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..workers)
+                .map(|_| {
+                    scope.spawn(|| {
+                        let mut mine = Vec::new();
+                        loop {
+                            let i = next.fetch_add(1, Ordering::Relaxed);
+                            let Some(item) = items.get(i) else {
+                                return mine;
+                            };
+                            mine.push((i, f(i, item)));
                         }
-                        // Steal the upper half of the fullest range.
-                        let Some(victim) = (0..workers)
-                            .filter(|&v| v != own)
-                            .max_by_key(|&v| ranges[v].remaining())
-                            .filter(|&v| ranges[v].remaining() > 0)
-                        else {
-                            break;
-                        };
-                        match ranges[victim].steal_half() {
-                            Some((start, end)) => {
-                                // Adopt the stolen interval: the CAS above
-                                // removed it from the victim, so publishing
-                                // it as our own range hands other thieves a
-                                // consistent view.
-                                ranges[own].publish(start, end);
-                            }
-                            None => {
-                                // Lost the race; rescan. Another worker is
-                                // making progress, so this spin is bounded
-                                // by the remaining work.
-                                std::hint::spin_loop();
-                            }
-                        }
-                    }
-                });
-            }
+                    })
+                })
+                .collect();
+            // Join every handle ourselves: a panic left for the scope to
+            // collect would surface as its generic "a scoped thread
+            // panicked" instead of the worker's payload. The scope still
+            // waits for the other workers before the panic leaves it.
+            handles
+                .into_iter()
+                .flat_map(|h| {
+                    h.join()
+                        .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
+                })
+                .collect()
         });
-
-        // All workers joined without panicking: every slot is initialized.
-        let mut results = ManuallyDrop::new(results);
-        // SAFETY: `MaybeUninit<U>` and `U` share layout; all `len` slots
-        // were written exactly once above.
-        unsafe { Vec::from_raw_parts(results.as_mut_ptr() as *mut U, len, results.capacity()) }
-    }
-}
-
-impl Default for Pool {
-    fn default() -> Self {
-        Pool::new(0)
+        // Every index was claimed exactly once: sorting restores input order.
+        done.sort_unstable_by_key(|&(i, _)| i);
+        done.into_iter().map(|(_, u)| u).collect()
     }
 }
 
@@ -195,11 +141,6 @@ struct CancelInner {
 }
 
 impl CancelToken {
-    /// An inert token that can never cancel (the zero-cost default).
-    pub fn inert() -> CancelToken {
-        CancelToken::default()
-    }
-
     /// A live token with no deadline; it cancels only when
     /// [`cancel`](CancelToken::cancel) is called on any clone.
     pub fn new() -> CancelToken {
@@ -251,102 +192,6 @@ impl CancelToken {
             _ => false,
         }
     }
-
-    /// True iff this token can ever cancel (i.e. it is not the inert
-    /// default).
-    pub fn is_live(&self) -> bool {
-        self.inner.is_some()
-    }
-}
-
-/// Shared pointer to the output slots. Indices are partitioned across
-/// workers by the claiming protocol, so concurrent writes never alias.
-struct SlotWriter<U> {
-    ptr: *mut MaybeUninit<U>,
-    len: usize,
-}
-
-// SAFETY: workers write disjoint slots (each index claimed once) and the
-// buffer outlives the scope; `U: Send` moves the values across threads.
-unsafe impl<U: Send> Send for SlotWriter<U> {}
-unsafe impl<U: Send> Sync for SlotWriter<U> {}
-
-impl<U> SlotWriter<U> {
-    /// Writes slot `i`.
-    ///
-    /// # Safety
-    /// `i < len`, and no other call (on any thread) writes the same `i`.
-    unsafe fn write(&self, i: usize, value: U) {
-        debug_assert!(i < self.len);
-        unsafe { self.ptr.add(i).write(MaybeUninit::new(value)) };
-    }
-}
-
-/// A contiguous index interval `[head, tail)` packed into one `AtomicU64`
-/// (`head` high, `tail` low) so claim and steal are single-word CAS ops.
-struct Range(AtomicU64);
-
-impl Range {
-    fn new(head: u32, tail: u32) -> Range {
-        Range(AtomicU64::new(pack(head, tail)))
-    }
-
-    /// Indices left in the interval (a racy snapshot — callers only use it
-    /// as a victim-selection heuristic).
-    fn remaining(&self) -> u32 {
-        let (head, tail) = unpack(self.0.load(Ordering::Relaxed));
-        tail.saturating_sub(head)
-    }
-
-    /// Claims the next index from the front, if any.
-    fn claim_one(&self) -> Option<u32> {
-        let mut cur = self.0.load(Ordering::Acquire);
-        loop {
-            let (head, tail) = unpack(cur);
-            if head >= tail {
-                return None;
-            }
-            match self.0.compare_exchange_weak(
-                cur,
-                pack(head + 1, tail),
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            ) {
-                Ok(_) => return Some(head),
-                Err(seen) => cur = seen,
-            }
-        }
-    }
-
-    /// Steals the upper half (at least one index) of the interval. `None`
-    /// when the interval emptied or the CAS raced.
-    fn steal_half(&self) -> Option<(u32, u32)> {
-        let cur = self.0.load(Ordering::Acquire);
-        let (head, tail) = unpack(cur);
-        if head >= tail {
-            return None;
-        }
-        let mid = head + (tail - head) / 2;
-        self.0
-            .compare_exchange(cur, pack(head, mid), Ordering::AcqRel, Ordering::Acquire)
-            .ok()
-            .map(|_| (mid, tail))
-    }
-
-    /// Replaces the interval wholesale (adopting a stolen one). Only the
-    /// owner publishes, and only while its own interval is empty, so no
-    /// claimable index is ever lost.
-    fn publish(&self, head: u32, tail: u32) {
-        self.0.store(pack(head, tail), Ordering::Release);
-    }
-}
-
-fn pack(head: u32, tail: u32) -> u64 {
-    ((head as u64) << 32) | tail as u64
-}
-
-fn unpack(v: u64) -> (u32, u32) {
-    ((v >> 32) as u32, v as u32)
 }
 
 #[cfg(test)]
@@ -386,8 +231,8 @@ mod tests {
 
     #[test]
     fn skewed_workloads_rebalance() {
-        // One pathologically heavy item at the front of the first worker's
-        // range: the rest of that range must get stolen and finished.
+        // One pathologically heavy item at the front: the other workers
+        // must claim and finish everything behind it.
         let items: Vec<u32> = (0..64).collect();
         let out = Pool::new(4).par_map_indexed(&items, |i, &x| {
             if i == 0 {
@@ -434,14 +279,12 @@ mod tests {
     #[test]
     fn cancel_token_states() {
         let inert = CancelToken::default();
-        assert!(!inert.is_live());
         assert!(!inert.is_cancelled());
         inert.cancel(); // no-op
         assert!(!inert.is_cancelled());
 
         let manual = CancelToken::new();
         let clone = manual.clone();
-        assert!(manual.is_live());
         assert!(!manual.is_cancelled());
         clone.cancel();
         assert!(manual.is_cancelled(), "cancel propagates across clones");
@@ -455,18 +298,23 @@ mod tests {
     }
 
     #[test]
-    fn range_claim_and_steal_protocol() {
-        let r = Range::new(0, 10);
-        assert_eq!(r.claim_one(), Some(0));
-        let (s, e) = r.steal_half().expect("nonempty");
-        // After one claim the interval is [1, 10): thief takes [5, 10).
-        assert_eq!((s, e), (5, 10));
-        assert_eq!(r.remaining(), 4);
-        let mut rest: Vec<u32> = Vec::new();
-        while let Some(i) = r.claim_one() {
-            rest.push(i);
+    fn panics_resurface_with_their_payload() {
+        let items: Vec<usize> = (0..8).collect();
+        for threads in [2, 4] {
+            let caught = std::panic::catch_unwind(|| {
+                Pool::new(threads).par_map_indexed(&items, |i, &x| {
+                    if i == 3 {
+                        panic!("item 3");
+                    }
+                    x
+                })
+            })
+            .expect_err("item 3 panics");
+            let message = caught
+                .downcast_ref::<&str>()
+                .copied()
+                .or_else(|| caught.downcast_ref::<String>().map(String::as_str));
+            assert_eq!(message, Some("item 3"), "threads={threads}");
         }
-        assert_eq!(rest, vec![1, 2, 3, 4]);
-        assert!(r.steal_half().is_none());
     }
 }

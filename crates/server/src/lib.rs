@@ -14,9 +14,9 @@
 //!
 //! - [`server`] — the accept loop, routing table, and error→status
 //!   mapping; one [`server::Server`] hosts many *named* engines.
-//! - [`sessions`] — server-side session registry; idle conversations
-//!   are evicted by a hashed deadline wheel, and a dead id answers the
-//!   typed `SessionNotFound` (HTTP 404) forever after.
+//! - [`sessions`] — server-side session registry; a conversation left
+//!   idle past the ttl since its last touch is evicted, and a dead id
+//!   answers the typed `SessionNotFound` (HTTP 404) forever after.
 //! - [`admission`] — a bounded-queue semaphore in front of the engine
 //!   pool; past `max_in_flight` executing + `max_queue` waiting, a
 //!   request is rejected immediately with the typed `Overloaded`
@@ -58,6 +58,8 @@
 //!     .unwrap();
 //! assert_eq!(cells, vec![Some("Apple".to_string())]);
 //! ```
+
+#![forbid(unsafe_code)]
 
 pub mod admission;
 pub mod client;

@@ -7,8 +7,8 @@
 //! loop; synthesis-bearing endpoints (`learn`, `apply`, `status`,
 //! `run_column`) pass through [`Admission`] first, because connection
 //! threads are cheap but the shared engine pool is not. A sweeper thread
-//! ticks the session store's deadline wheel so idle conversations are
-//! evicted even when no traffic arrives.
+//! sweeps the session store every [`SWEEP_INTERVAL`], so idle
+//! conversations are evicted even when no traffic arrives.
 //!
 //! # Routes
 //!
@@ -83,7 +83,7 @@ use crate::fault::{FaultAction, FaultPlan, FaultSite};
 use crate::http::{read_request, write_response, ReadError, ReadLimits, Request, Response};
 use crate::metrics::{Endpoint, Metrics};
 use crate::proto::SessionInfo;
-use crate::sessions::SessionStore;
+use crate::sessions::{SessionStore, SWEEP_INTERVAL};
 
 /// Server tuning knobs. `Default` suits tests and local use: an
 /// OS-assigned port on loopback, admission sized for a small pool, and a
@@ -100,8 +100,6 @@ pub struct ServerConfig {
     pub max_queue: usize,
     /// Idle time after which a session is evicted.
     pub session_ttl: Duration,
-    /// Deadline-wheel tick (eviction resolution and sweeper interval).
-    pub sweep_granularity: Duration,
     /// Default synthesis budget for requests that carry no `deadline-ms`
     /// header; `None` (the default) learns without a deadline.
     pub default_deadline: Option<Duration>,
@@ -157,7 +155,6 @@ impl Default for ServerConfig {
             max_in_flight: 8,
             max_queue: 1024,
             session_ttl: Duration::from_secs(300),
-            sweep_granularity: Duration::from_millis(50),
             default_deadline: None,
             idle_timeout: Some(Duration::from_secs(300)),
             request_read_timeout: Some(Duration::from_secs(10)),
@@ -252,7 +249,7 @@ impl Server {
         let state = Arc::new(State {
             engines: engines.into_iter().collect(),
             engine_names,
-            sessions: SessionStore::new(config.session_ttl, config.sweep_granularity),
+            sessions: SessionStore::new(config.session_ttl),
             admission: Admission::new(config.max_in_flight, config.max_queue),
             metrics: Metrics::default(),
             default_deadline: config.default_deadline,
@@ -279,9 +276,8 @@ impl Server {
 
         let sweep_state = Arc::clone(&state);
         let sweeper = std::thread::spawn(move || {
-            let tick = sweep_state.sessions.granularity();
             while !sweep_state.shutdown.load(Ordering::Acquire) {
-                std::thread::sleep(tick);
+                std::thread::sleep(SWEEP_INTERVAL);
                 sweep_state.sessions.sweep();
             }
         });

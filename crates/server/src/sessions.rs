@@ -1,19 +1,13 @@
-//! Server-side session registry with deadline-wheel idle eviction.
+//! Server-side session registry with last-touch idle eviction.
 //!
 //! Sessions hold example state between requests, so a remote front door
 //! must bound how long an abandoned conversation can pin memory. Every
-//! session carries an idle deadline (`last touch + ttl`); touching it
-//! (any request naming the session) pushes the deadline forward. Expiry
-//! is tracked by a classic hashed timing wheel: time is divided into
-//! granularity-sized ticks, the wheel has one slot per tick across the
-//! ttl span, and arming a deadline is one `Vec::push` into
-//! `slot[deadline % slots]` — no sorted structure, no per-session timer.
-//! A sweep (driven by the server's sweeper thread, and opportunistically
-//! by any access) advances the cursor one tick at a time, draining each
-//! slot it passes; a drained entry whose arming is stale (the session was
-//! touched since — its generation moved) is dropped, one whose deadline
-//! really passed evicts the session, and a re-armed future deadline is
-//! pushed back into its new slot.
+//! session records when it was last touched (any request naming it), and
+//! one left idle for the ttl has expired. A `touch` or `close` checks its
+//! own entry's expiry, so an access between sweeps can never resurrect an
+//! expired session; the server's sweeper thread drops every expired entry
+//! once per [`SWEEP_INTERVAL`] with one pass over the map, which holds a
+//! few hundred sessions at most under the traffic this server sees.
 //!
 //! Requests naming an evicted (or never-created) session get the typed
 //! [`ServiceError::SessionNotFound`] — over the wire, an HTTP 404 with
@@ -24,30 +18,24 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use sst_service::{ServiceError, Session};
+
+/// How often the server's sweeper thread calls [`SessionStore::sweep`].
+pub const SWEEP_INTERVAL: Duration = Duration::from_millis(50);
 
 /// One registered session.
 #[derive(Debug)]
 struct Entry {
     session: Arc<Mutex<Session>>,
-    /// Tick at which the session expires unless touched again.
-    deadline: u64,
-    /// Bumped on every touch; wheel armings carry the generation they
-    /// were made under, so stale armings identify themselves.
-    generation: u64,
+    last_touch: Instant,
 }
 
 #[derive(Debug)]
 struct Inner {
     map: HashMap<u64, Entry>,
-    /// `slots[deadline % slots.len()]` holds `(session id, generation)`
-    /// armings.
-    slots: Vec<Vec<(u64, u64)>>,
-    /// The last tick the sweep fully processed.
-    cursor: u64,
     next_id: u64,
 }
 
@@ -55,155 +43,94 @@ struct Inner {
 #[derive(Debug)]
 pub struct SessionStore {
     inner: Mutex<Inner>,
-    /// Idle ttl in ticks (≥ 1).
-    ttl_ticks: u64,
-    granularity: Duration,
-    epoch: Instant,
+    ttl: Duration,
     evicted: AtomicU64,
 }
 
 impl SessionStore {
-    /// A store evicting sessions idle for `ttl`, checked at `granularity`
-    /// resolution (both floored to sane minimums).
-    pub fn new(ttl: Duration, granularity: Duration) -> SessionStore {
-        let granularity = granularity.max(Duration::from_millis(1));
-        let ttl_ticks = (ttl.as_nanos() / granularity.as_nanos()).max(1) as u64;
-        // One slot per tick across the ttl span, plus slack so a deadline
-        // armed "now + ttl" never lands on the slot the cursor is
-        // draining.
-        let slots = (ttl_ticks + 2) as usize;
+    /// A store evicting sessions idle for `ttl`.
+    pub fn new(ttl: Duration) -> SessionStore {
         SessionStore {
             inner: Mutex::new(Inner {
                 map: HashMap::new(),
-                slots: vec![Vec::new(); slots],
-                cursor: 0,
                 next_id: 1,
             }),
-            ttl_ticks,
-            granularity,
-            epoch: Instant::now(),
+            ttl,
             evicted: AtomicU64::new(0),
         }
     }
 
-    /// The eviction granularity (the sweeper thread's tick interval).
-    pub fn granularity(&self) -> Duration {
-        self.granularity
+    fn lock(&self) -> MutexGuard<'_, Inner> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    fn tick(&self, now: Instant) -> u64 {
-        (now.duration_since(self.epoch).as_nanos() / self.granularity.as_nanos()) as u64
+    fn expired(&self, entry: &Entry, now: Instant) -> bool {
+        now.duration_since(entry.last_touch) >= self.ttl
     }
 
     /// Registers a session, returning its id.
     pub fn create(&self, session: Session) -> u64 {
-        let now = self.tick(Instant::now());
-        let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
-        self.sweep_locked(&mut inner, now);
+        let mut inner = self.lock();
         let id = inner.next_id;
         inner.next_id += 1;
-        let deadline = now + self.ttl_ticks;
-        let slot = (deadline % inner.slots.len() as u64) as usize;
-        inner.slots[slot].push((id, 0));
         inner.map.insert(
             id,
             Entry {
                 session: Arc::new(Mutex::new(session)),
-                deadline,
-                generation: 0,
+                last_touch: Instant::now(),
             },
         );
         id
     }
 
-    /// Fetches a live session and pushes its idle deadline forward.
-    /// Evicted, closed and never-created ids all answer the same typed
-    /// not-found.
+    /// Fetches a live session and restarts its idle clock. Evicted,
+    /// closed and never-created ids all answer the same typed not-found.
     pub fn touch(&self, id: u64) -> Result<Arc<Mutex<Session>>, ServiceError> {
-        let now = self.tick(Instant::now());
-        let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
-        self.sweep_locked(&mut inner, now);
-        let slots = inner.slots.len() as u64;
+        let now = Instant::now();
+        let mut inner = self.lock();
         let entry = inner
             .map
             .get_mut(&id)
             .ok_or(ServiceError::SessionNotFound(id))?;
-        // The sweep above already evicted anything past-deadline, but the
-        // deadline check stays: the sweeper only runs every granularity,
-        // and an access between ticks must not resurrect an expired
-        // session.
-        if entry.deadline <= now {
-            let session = inner.map.remove(&id);
-            drop(session);
+        if self.expired(entry, now) {
+            inner.map.remove(&id);
             self.evicted.fetch_add(1, Ordering::Relaxed);
             return Err(ServiceError::SessionNotFound(id));
         }
-        entry.deadline = now + self.ttl_ticks;
-        entry.generation += 1;
-        let armed = (entry.deadline, entry.generation);
-        let session = Arc::clone(&entry.session);
-        let slot = (armed.0 % slots) as usize;
-        inner.slots[slot].push((id, armed.1));
-        Ok(session)
+        entry.last_touch = now;
+        Ok(Arc::clone(&entry.session))
     }
 
-    /// Closes a session explicitly.
+    /// Closes a session explicitly. An expired session counts as evicted
+    /// and answers not-found, as it would to a touch.
     pub fn close(&self, id: u64) -> Result<(), ServiceError> {
-        let now = self.tick(Instant::now());
-        let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
-        self.sweep_locked(&mut inner, now);
-        inner
+        let now = Instant::now();
+        let entry = self
+            .lock()
             .map
             .remove(&id)
-            .map(drop)
-            .ok_or(ServiceError::SessionNotFound(id))
-    }
-
-    /// Advances the wheel to `now`, evicting everything whose deadline
-    /// passed. Called by the sweeper thread; accesses also sweep
-    /// opportunistically.
-    pub fn sweep(&self) {
-        let now = self.tick(Instant::now());
-        let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
-        self.sweep_locked(&mut inner, now);
-    }
-
-    fn sweep_locked(&self, inner: &mut Inner, now: u64) {
-        let slots = inner.slots.len() as u64;
-        while inner.cursor < now {
-            inner.cursor += 1;
-            let cursor = inner.cursor;
-            let slot = (cursor % slots) as usize;
-            let drained = std::mem::take(&mut inner.slots[slot]);
-            for (id, generation) in drained {
-                let Some(entry) = inner.map.get(&id) else {
-                    continue; // closed since arming
-                };
-                if entry.generation != generation {
-                    continue; // touched since arming; a newer arming exists
-                }
-                if entry.deadline <= cursor {
-                    inner.map.remove(&id);
-                    self.evicted.fetch_add(1, Ordering::Relaxed);
-                } else {
-                    // Same generation but a later deadline in this slot
-                    // ring: re-arm (happens when ttl spans the wheel more
-                    // than once is impossible here — slots > ttl_ticks —
-                    // but kept for safety).
-                    let slot = (entry.deadline % slots) as usize;
-                    inner.slots[slot].push((id, generation));
-                }
-            }
+            .ok_or(ServiceError::SessionNotFound(id))?;
+        if self.expired(&entry, now) {
+            self.evicted.fetch_add(1, Ordering::Relaxed);
+            return Err(ServiceError::SessionNotFound(id));
         }
+        Ok(())
+    }
+
+    /// Evicts every session idle for the ttl or longer. Called by the
+    /// server's sweeper thread every [`SWEEP_INTERVAL`].
+    pub fn sweep(&self) {
+        let now = Instant::now();
+        let mut inner = self.lock();
+        let before = inner.map.len();
+        inner.map.retain(|_, entry| !self.expired(entry, now));
+        let evicted = before - inner.map.len();
+        self.evicted.fetch_add(evicted as u64, Ordering::Relaxed);
     }
 
     /// Live sessions right now.
     pub fn live(&self) -> usize {
-        self.inner
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .map
-            .len()
+        self.lock().map.len()
     }
 
     /// Sessions evicted by the idle deadline so far.
@@ -217,6 +144,7 @@ mod tests {
     use super::*;
     use std::sync::Arc as StdArc;
 
+    use sst_core::Example;
     use sst_service::Engine;
     use sst_tables::{Database, Table};
 
@@ -228,7 +156,7 @@ mod tests {
     #[test]
     fn touch_extends_the_deadline_and_eviction_fires_after_it() {
         let engine = engine();
-        let store = SessionStore::new(Duration::from_millis(60), Duration::from_millis(5));
+        let store = SessionStore::new(Duration::from_millis(60));
         let id = store.create(engine.session());
         // Keep touching within the ttl: the session must survive well
         // past one ttl of wall-clock.
@@ -250,9 +178,8 @@ mod tests {
     #[test]
     fn access_between_sweeps_cannot_resurrect_an_expired_session() {
         let engine = engine();
-        // Coarse granularity: the wheel cursor barely moves during the
-        // test, so the deadline check in `touch` does the work.
-        let store = SessionStore::new(Duration::from_millis(30), Duration::from_millis(10));
+        // No sweep runs: the expiry check in `touch` does the work.
+        let store = SessionStore::new(Duration::from_millis(30));
         let id = store.create(engine.session());
         std::thread::sleep(Duration::from_millis(75));
         assert!(store.touch(id).is_err());
@@ -262,7 +189,7 @@ mod tests {
     #[test]
     fn close_is_immediate_and_idempotent() {
         let engine = engine();
-        let store = SessionStore::new(Duration::from_secs(60), Duration::from_millis(10));
+        let store = SessionStore::new(Duration::from_secs(60));
         let id = store.create(engine.session());
         assert_eq!(store.live(), 1);
         store.close(id).expect("close live session");
@@ -271,10 +198,32 @@ mod tests {
             Err(ServiceError::SessionNotFound(_))
         ));
         assert_eq!(store.live(), 0);
-        // Closed-then-swept: the stale wheel arming must not double-count
-        // an eviction.
+        // Closed-then-swept: a closed session must not count as an
+        // eviction.
         std::thread::sleep(Duration::from_millis(20));
         store.sweep();
         assert_eq!(store.evicted(), 0);
+    }
+
+    #[test]
+    fn eviction_never_interrupts_a_held_session() {
+        let engine = engine();
+        let store = SessionStore::new(Duration::from_millis(30));
+        let id = store.create(engine.session());
+        let held = store.touch(id).expect("fresh session is live");
+        std::thread::sleep(Duration::from_millis(60));
+        store.sweep();
+        // The in-flight holder still works against the evicted state…
+        let mut session = held.lock().unwrap();
+        session.add_example(Example::new(vec!["a"], "b"));
+        session.watch_inputs(vec![vec!["a".to_string()]]);
+        assert!(session.status().is_ok(), "held session still answers");
+        drop(session);
+        // …and only the next attach sees the typed not-found.
+        assert!(matches!(
+            store.touch(id),
+            Err(ServiceError::SessionNotFound(i)) if i == id
+        ));
+        assert_eq!(store.evicted(), 1);
     }
 }

@@ -41,7 +41,6 @@ fn idle_sessions_are_evicted_and_answer_typed_not_found() {
         engine(),
         ServerConfig {
             session_ttl: Duration::from_millis(120),
-            sweep_granularity: Duration::from_millis(10),
             ..ServerConfig::default()
         },
     )

@@ -66,7 +66,7 @@ pub(crate) fn with_deadline_error<T>(
 /// # Determinism
 ///
 /// Batch responses are in request order by construction
-/// (`par_map_indexed` writes each result into its pre-assigned slot), and
+/// (`par_map_indexed` returns each result at its input index), and
 /// every learned observable — counts, sizes, ranking, evaluation — is
 /// bit-identical to a sequential [`Synthesizer::learn`] per request, at
 /// every pool width (pinned by `tests/service_equivalence.rs`).
@@ -276,25 +276,6 @@ impl Engine {
         Ok(self.synthesizer().learn(examples)?)
     }
 
-    /// [`Engine::learn`] under a wall-clock budget: the synthesis is
-    /// cooperatively cancelled once `budget` elapses, every shared memo
-    /// stays valid (partial results are never inserted), and the abort
-    /// surfaces as [`ServiceError::DeadlineExceeded`]. A retry without a
-    /// budget is bit-identical to a cold learn (pinned by
-    /// `tests/cancellation_equivalence.rs`).
-    pub fn learn_with_budget(
-        &self,
-        examples: &[Example],
-        budget: Duration,
-    ) -> Result<LearnedPrograms, ServiceError> {
-        with_deadline_error(
-            self.synthesizer_with_budget(budget)
-                .learn(examples)
-                .map_err(ServiceError::from),
-            budget,
-        )
-    }
-
     /// Serves a batch of independent learning requests, fanned across the
     /// engine pool.
     ///
@@ -356,23 +337,6 @@ impl Engine {
             Some(budget) => self.synthesizer_with_budget(budget),
             None => self.synthesizer(),
         }
-    }
-
-    /// Learns from `examples`, compiles the top-ranked program and applies
-    /// it to every input row, fanning row ranges across the engine pool —
-    /// the stateless batch-apply entry point ([`Session::run_column`] is
-    /// the conversation-stateful variant). Outputs are in row order and
-    /// bit-identical to interpreting the top program per row.
-    pub fn apply(
-        &self,
-        examples: &[Example],
-        rows: &[Vec<String>],
-    ) -> Result<Vec<Option<String>>, ServiceError> {
-        let learned = self.learn(examples)?;
-        let top = learned
-            .top()
-            .ok_or(ServiceError::Synthesis(SynthesisError::NoConsistentProgram))?;
-        Ok(top.compile().run_column(rows, &self.inner.pool))
     }
 
     /// Serves a batch of independent [`ApplyRequest`]s, fanned across the

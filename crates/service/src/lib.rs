@@ -22,10 +22,10 @@
 //!   hands out cheap [`Session`] handles, serves one-shot
 //!   [`Engine::learn`] calls, fans [`Engine::learn_batch`] /
 //!   [`Engine::apply_batch`] requests across the pool (deterministic
-//!   output order), applies learned programs to whole columns through
-//!   the compiled bytecode plane ([`Engine::apply`]), and owns the
-//!   database mutations ([`Engine::add_table`] bumps the epoch exactly
-//!   once for every live session).
+//!   output order; applies fill whole columns through the compiled
+//!   bytecode plane), and owns the database mutations
+//!   ([`Engine::add_table`] bumps the epoch exactly once for every live
+//!   session).
 //! * [`Session`] — one §3.2 conversation: [`Session::add_example`],
 //!   [`Session::status`] (converged, or which watched inputs are still
 //!   ambiguous), [`Session::top_k`], [`Session::paraphrase`],
@@ -73,6 +73,8 @@
 //! }
 //! assert_eq!(session.run(&["c1"]).unwrap().as_deref(), Some("Microsoft"));
 //! ```
+
+#![forbid(unsafe_code)]
 
 mod engine;
 mod session;

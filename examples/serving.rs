@@ -7,8 +7,9 @@
 //! and the worker pool — and `learn_batch` fans independent requests
 //! across it with deterministic, request-ordered responses (bit-identical
 //! to learning each request sequentially, at every pool width). Once a
-//! task converges, `Engine::apply` (or `Session::run_column`) compiles the
-//! top-ranked program to bytecode and fills a whole column in one call.
+//! task converges, `Engine::apply_batch` (or `Session::run_column`)
+//! compiles the top-ranked program to bytecode and fills a whole column
+//! in one call.
 //!
 //! Run with: `cargo run --release --example serving`
 
@@ -97,16 +98,16 @@ fn main() {
     let column: Vec<Vec<String>> = (0..50_000)
         .map(|i| vec![codes[i % codes.len()].to_string()])
         .collect();
-    let outputs = engine
-        .apply(
-            &[
-                Example::new(vec!["c1"], "Microsoft (Redmond)"),
-                Example::new(vec!["c2"], "Google (Mountain View)"),
-            ],
-            &column,
-        )
-        .expect("task learned above");
-    assert_eq!(outputs.len(), column.len());
+    let request = ApplyRequest::new(
+        vec![
+            Example::new(vec!["c1"], "Microsoft (Redmond)"),
+            Example::new(vec!["c2"], "Google (Mountain View)"),
+        ],
+        column,
+    );
+    let responses = engine.apply_batch(std::slice::from_ref(&request));
+    let outputs = responses[0].outputs().expect("task learned above");
+    assert_eq!(outputs.len(), request.rows.len());
     assert_eq!(outputs[2].as_deref(), Some("Apple (Cupertino)"));
     // `c9` is in no table: both lookups miss and yield the empty string,
     // leaving just the constant separators.

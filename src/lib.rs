@@ -27,8 +27,9 @@
 //!   program-set structures as dense `u32` ids, plus the versioned
 //!   binary snapshot codec.
 //! * [`counting`] — arbitrary-precision counters for program-set sizes.
-//! * [`par`] — vendored scoped work-stealing pool powering batch serving
-//!   and `run_column` (deterministic-order `par_map_indexed`).
+//! * [`par`] — scoped self-scheduling worker pool powering batch serving
+//!   and `run_column` (input-order `par_map_indexed`), plus the
+//!   cooperative `CancelToken`.
 //!
 //! # Quickstart: an interactive session
 //!
@@ -102,10 +103,9 @@
 //! single-condition lookups baked into value→cell probe maps, constant
 //! lookups folded away — so filling a row is a flat op walk with zero
 //! tree recursion and zero per-row allocation. The service plane wraps
-//! this: [`Engine::apply`](service::Engine::apply) (or
-//! [`ApplyRequest`](service::ApplyRequest)s via
-//! [`Engine::apply_batch`](service::Engine::apply_batch)) learns, compiles
-//! once, and fans the column across the worker pool;
+//! this: [`Engine::apply_batch`](service::Engine::apply_batch) takes
+//! [`ApplyRequest`](service::ApplyRequest)s, and for each one learns,
+//! compiles once, and fans the column across the worker pool;
 //! [`Session::run_column`](service::Session::run_column) does the same
 //! inside a conversation, caching the compiled program until the examples
 //! or the database change.
@@ -122,9 +122,9 @@
 //!     .iter()
 //!     .map(|c| vec![c.to_string()])
 //!     .collect();
-//! let outputs = engine
-//!     .apply(&[Example::new(vec!["c2"], "Google")], &column)
-//!     .unwrap();
+//! let request = ApplyRequest::new(vec![Example::new(vec!["c2"], "Google")], column);
+//! let responses = engine.apply_batch(&[request]);
+//! let outputs = responses[0].outputs().unwrap();
 //! assert_eq!(outputs[1].as_deref(), Some("Apple"));
 //! // Lookup misses yield the empty string per the paper's semantics.
 //! assert_eq!(outputs[2].as_deref(), Some(""));
@@ -143,11 +143,11 @@
 //! [`service::wire`] codec. One [`Server`](server::Server) hosts many
 //! *named* engines; per-engine routes cover batch `learn`/`apply` and
 //! the full interactive session lifecycle
-//! (create/attach/examples/inputs/status/run_column/close). Idle
-//! sessions are evicted by a deadline wheel and answer a typed
-//! `SessionNotFound` (404) afterwards; a saturated server rejects with a
-//! typed `Overloaded` (429) instead of queueing unboundedly; `/metrics`
-//! exports per-endpoint latency quantiles and cache hit rates.
+//! (create/attach/examples/inputs/status/run_column/close). A session
+//! left idle for the ttl since its last touch is evicted and answers a
+//! typed `SessionNotFound` (404) afterwards; a saturated server rejects
+//! with a typed `Overloaded` (429) instead of queueing unboundedly;
+//! `/metrics` exports per-endpoint latency quantiles and cache hit rates.
 //!
 //! The stack is hardened for hostile conditions: a `deadline-ms` request
 //! header (or [`ServerConfig`](server::ServerConfig) default) threads a
@@ -290,6 +290,8 @@
 //!     .unwrap();
 //! assert_eq!(learned.top().unwrap().run(&["c3"]).unwrap(), "Apple");
 //! ```
+
+#![forbid(unsafe_code)]
 
 pub use sst_arena as arena;
 pub use sst_core as core;

@@ -30,8 +30,12 @@ fn expired_budget_aborts_in_bounded_time_and_leaves_caches_clean() {
 
         // The aborted attempt: typed error, bounded wall-clock.
         let started = Instant::now();
-        let err = engine
-            .learn_with_budget(&examples, Duration::ZERO)
+        let mut responses =
+            engine.learn_batch_with_budget(&[LearnRequest::new(examples.clone())], Duration::ZERO);
+        let err = responses
+            .pop()
+            .expect("one response per request")
+            .result
             .expect_err("zero budget must abort");
         let elapsed = started.elapsed();
         assert!(
